@@ -22,6 +22,7 @@
 #include "src/autoax/eval_engine.hpp"
 #include "src/circuit/batch_sim.hpp"
 #include "src/circuit/simulator.hpp"
+#include "src/circuit/transform.hpp"
 #include "src/error/error_metrics.hpp"
 #include "src/fault/fault.hpp"
 #include "src/gen/adders.hpp"
@@ -225,6 +226,13 @@ static void BM_VerifyProgram(benchmark::State& state) {
 }
 BENCHMARK(BM_VerifyProgram)->Arg(8)->Arg(16);
 
+/// Synthesis kernels report lowered-netlist nodes/sec: the node count of
+/// the simplify -> two-input lowering -> simplify form the mapper walks.
+static std::int64_t loweredNodes(const circuit::Netlist& net) {
+    return static_cast<std::int64_t>(
+        circuit::simplify(circuit::lowerToTwoInput(circuit::simplify(net))).nodeCount());
+}
+
 static void BM_LutMapping(benchmark::State& state) {
     const circuit::Netlist net = gen::wallaceMultiplier(static_cast<int>(state.range(0)));
     synth::FpgaFlow flow;
@@ -232,6 +240,7 @@ static void BM_LutMapping(benchmark::State& state) {
         const synth::LutMapper::Mapping m = flow.technologyMap(net);
         benchmark::DoNotOptimize(m.depth);
     }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * loweredNodes(net));
 }
 BENCHMARK(BM_LutMapping)->Arg(8)->Arg(16);
 
@@ -242,6 +251,7 @@ static void BM_FpgaImplement(benchmark::State& state) {
         const synth::FpgaReport r = flow.implement(net);
         benchmark::DoNotOptimize(r.lutCount);
     }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * loweredNodes(net));
 }
 BENCHMARK(BM_FpgaImplement);
 
@@ -252,6 +262,7 @@ static void BM_AsicSynthesis(benchmark::State& state) {
         const synth::AsicReport r = flow.synthesize(net);
         benchmark::DoNotOptimize(r.areaUm2);
     }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * loweredNodes(net));
 }
 BENCHMARK(BM_AsicSynthesis);
 
@@ -371,6 +382,7 @@ static void BM_Ssim(benchmark::State& state) {
     for (auto _ : state) {
         benchmark::DoNotOptimize(img::ssim(a, b));
     }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 128 * 128);  // pixels
 }
 BENCHMARK(BM_Ssim);
 

@@ -7,10 +7,12 @@
 #include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "src/obs/trace.hpp"
 #include "src/util/crc32.hpp"
 #include "src/util/io.hpp"
+#include "src/util/thread_pool.hpp"
 #include "src/verify/verify.hpp"
 
 namespace axf::cache {
@@ -534,26 +536,91 @@ fault::ResilienceReport analyzeResilienceCached(CharacterizationCache* cache,
     return report;
 }
 
+namespace {
+
+/// The three steps shared by the batched flow helpers (see the header):
+/// serial lookups, parallel computation of the misses, serial stores in
+/// index order.  `spanName` must be a string literal.
+template <typename Report, typename Flow>
+std::vector<Report> cachedBatch(const char* spanName, CharacterizationCache* cache,
+                                const Flow& flow, std::span<const circuit::Netlist* const> netlists,
+                                CacheKey (*keyOf)(std::uint64_t, const typename Flow::Options&),
+                                std::optional<Report> (CharacterizationCache::*find)(const CacheKey&),
+                                void (CharacterizationCache::*put)(const CacheKey&, const Report&),
+                                Report (Flow::*compute)(const circuit::Netlist&) const) {
+    obs::Span span(spanName);
+    const std::size_t n = netlists.size();
+    std::vector<Report> reports(n);
+    std::vector<CacheKey> keys(n);
+    std::vector<std::size_t> misses;    // computed by this batch, ascending
+    std::vector<bool> repeated(n, false);  // key of an earlier miss in the batch
+    if (cache == nullptr) {
+        for (std::size_t i = 0; i < n; ++i) misses.push_back(i);
+    } else {
+        std::unordered_set<CacheKey, CacheKeyHash> missed;
+        for (std::size_t i = 0; i < n; ++i) {
+            keys[i] = keyOf(netlists[i]->structuralHash(), flow.options());
+            if (missed.count(keys[i]) != 0) {
+                repeated[i] = true;
+            } else if (std::optional<Report> hit = (cache->*find)(keys[i])) {
+                reports[i] = std::move(*hit);
+            } else {
+                missed.insert(keys[i]);
+                misses.push_back(i);
+            }
+        }
+    }
+    util::ThreadPool::global().parallelFor(misses.size(), [&](std::size_t j) {
+        reports[misses[j]] = (flow.*compute)(*netlists[misses[j]]);
+    });
+    if (cache == nullptr) return reports;
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (next < misses.size() && misses[next] == i) {
+            (cache->*put)(keys[i], reports[i]);
+            ++next;
+        } else if (repeated[i]) {
+            // Serially this lookup comes after the earlier copy's store.
+            std::optional<Report> hit = (cache->*find)(keys[i]);
+            reports[i] = hit ? std::move(*hit) : (flow.*compute)(*netlists[i]);
+            if (!hit) (cache->*put)(keys[i], reports[i]);
+        }
+    }
+    return reports;
+}
+
+}  // namespace
+
+std::vector<synth::AsicReport> synthesizeCachedBatch(
+    CharacterizationCache* cache, const synth::AsicFlow& flow,
+    std::span<const circuit::Netlist* const> netlists) {
+    return cachedBatch<synth::AsicReport>("synthesize_batch", cache, flow, netlists,
+                                          &CharacterizationCache::asicKey,
+                                          &CharacterizationCache::findAsic,
+                                          &CharacterizationCache::putAsic,
+                                          &synth::AsicFlow::synthesize);
+}
+
+std::vector<synth::FpgaReport> implementCachedBatch(
+    CharacterizationCache* cache, const synth::FpgaFlow& flow,
+    std::span<const circuit::Netlist* const> netlists) {
+    return cachedBatch<synth::FpgaReport>("implement_batch", cache, flow, netlists,
+                                          &CharacterizationCache::fpgaKey,
+                                          &CharacterizationCache::findFpga,
+                                          &CharacterizationCache::putFpga,
+                                          &synth::FpgaFlow::implement);
+}
+
 synth::AsicReport synthesizeCached(CharacterizationCache* cache, const synth::AsicFlow& flow,
                                    const circuit::Netlist& netlist) {
-    if (cache == nullptr) return flow.synthesize(netlist);
-    const CacheKey key =
-        CharacterizationCache::asicKey(netlist.structuralHash(), flow.options());
-    if (std::optional<synth::AsicReport> hit = cache->findAsic(key)) return *hit;
-    const synth::AsicReport report = flow.synthesize(netlist);
-    cache->putAsic(key, report);
-    return report;
+    const circuit::Netlist* one[] = {&netlist};
+    return synthesizeCachedBatch(cache, flow, one).front();
 }
 
 synth::FpgaReport implementCached(CharacterizationCache* cache, const synth::FpgaFlow& flow,
                                   const circuit::Netlist& netlist) {
-    if (cache == nullptr) return flow.implement(netlist);
-    const CacheKey key =
-        CharacterizationCache::fpgaKey(netlist.structuralHash(), flow.options());
-    if (std::optional<synth::FpgaReport> hit = cache->findFpga(key)) return *hit;
-    const synth::FpgaReport report = flow.implement(netlist);
-    cache->putFpga(key, report);
-    return report;
+    const circuit::Netlist* one[] = {&netlist};
+    return implementCachedBatch(cache, flow, one).front();
 }
 
 }  // namespace axf::cache

@@ -7,6 +7,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -247,12 +248,33 @@ fault::ResilienceReport analyzeResilienceCached(CharacterizationCache* cache,
                                                 const circuit::ArithSignature& sig,
                                                 const fault::CampaignConfig& config);
 
-/// Cached `synth::AsicFlow::synthesize`.
+/// Cached `synth::AsicFlow::synthesize` (a batch of one, see below).
 synth::AsicReport synthesizeCached(CharacterizationCache* cache, const synth::AsicFlow& flow,
                                    const circuit::Netlist& netlist);
 
-/// Cached `synth::FpgaFlow::implement`.
+/// Cached `synth::FpgaFlow::implement` (a batch of one, see below).
 synth::FpgaReport implementCached(CharacterizationCache* cache, const synth::FpgaFlow& flow,
                                   const circuit::Netlist& netlist);
+
+// --- index-addressed batches over circuits -----------------------------------
+// Report i belongs to `netlists[i]`.  A batch runs in three steps: cache
+// lookups serially in index order, the misses computed on
+// `util::ThreadPool::global()` (each into its own slot), then the new
+// reports stored serially in index order.  The reports, the `CacheStats`
+// counts and the `forEachEntry` order therefore equal those of N serial
+// single-circuit calls at any thread count: a netlist repeated within the
+// batch is computed once and its later copies hit, as they would
+// serially.  (With `Options::maxEntries`, an eviction during the batch can
+// make a serial lookup miss where the batch's up-front lookup hit.)
+
+/// Batched `synthesizeCached`.
+std::vector<synth::AsicReport> synthesizeCachedBatch(
+    CharacterizationCache* cache, const synth::AsicFlow& flow,
+    std::span<const circuit::Netlist* const> netlists);
+
+/// Batched `implementCached`.
+std::vector<synth::FpgaReport> implementCachedBatch(
+    CharacterizationCache* cache, const synth::FpgaFlow& flow,
+    std::span<const circuit::Netlist* const> netlists);
 
 }  // namespace axf::cache

@@ -25,11 +25,17 @@ double fpgaParamOf(const synth::FpgaReport& report, FpgaParam p) {
 CircuitDataset CircuitDataset::characterize(gen::AcLibrary library,
                                             const synth::AsicFlow& asicFlow,
                                             cache::CharacterizationCache* cache) {
+    std::vector<const circuit::Netlist*> netlists;
+    netlists.reserve(library.size());
+    for (const gen::LibraryCircuit& entry : library) netlists.push_back(&entry.netlist);
+    std::vector<synth::AsicReport> asic = cache::synthesizeCachedBatch(cache, asicFlow, netlists);
+
     CircuitDataset ds;
     ds.circuits_.reserve(library.size());
-    for (gen::LibraryCircuit& entry : library) {
+    for (std::size_t i = 0; i < library.size(); ++i) {
+        gen::LibraryCircuit& entry = library[i];
         CharacterizedCircuit cc;
-        cc.asic = cache::synthesizeCached(cache, asicFlow, entry.netlist);
+        cc.asic = asic[i];
         const circuit::StructuralFeatures sf = circuit::extractFeatures(entry.netlist);
         cc.features = sf.toVector();
         cc.features.push_back(cc.asic.areaUm2);

@@ -21,17 +21,33 @@ double FlowResult::meanCoverage() const {
 
 namespace {
 
-/// Synthesizes (or reuses) the FPGA measurement of one circuit and charges
-/// its Vivado-equivalent cost to `secondsAccount` when newly synthesized.
-/// A characterization-cache hit still charges the modeled seconds: the
-/// cache accelerates the simulation infrastructure, not the methodology.
-bool measureCircuit(CharacterizedCircuit& cc, const synth::FpgaFlow& flow,
-                    cache::CharacterizationCache* cache, double& secondsAccount) {
-    if (cc.fpgaMeasured) return false;
-    cc.fpga = cache::implementCached(cache, flow, cc.circuit.netlist);
-    cc.fpgaMeasured = true;
-    secondsAccount += cc.fpga.synthSeconds;
-    return true;
+/// FPGA-measures the not-yet-measured circuits among `indices` as one
+/// batch, and charges each new measurement's Vivado-equivalent cost to
+/// `secondsAccount` in `indices` order.  A characterization-cache hit
+/// still charges the modeled seconds: the cache accelerates the simulation
+/// infrastructure, not the methodology.  Returns the newly measured
+/// indices (`indices` holds no duplicates).
+std::vector<std::size_t> measureCircuits(std::vector<CharacterizedCircuit>& circuits,
+                                         const std::vector<std::size_t>& indices,
+                                         const synth::FpgaFlow& flow,
+                                         cache::CharacterizationCache* cache,
+                                         double& secondsAccount) {
+    std::vector<std::size_t> fresh;
+    std::vector<const circuit::Netlist*> netlists;
+    for (std::size_t idx : indices) {
+        if (circuits[idx].fpgaMeasured) continue;
+        fresh.push_back(idx);
+        netlists.push_back(&circuits[idx].circuit.netlist);
+    }
+    const std::vector<synth::FpgaReport> reports =
+        cache::implementCachedBatch(cache, flow, netlists);
+    for (std::size_t j = 0; j < fresh.size(); ++j) {
+        CharacterizedCircuit& cc = circuits[fresh[j]];
+        cc.fpga = reports[j];
+        cc.fpgaMeasured = true;
+        secondsAccount += cc.fpga.synthSeconds;
+    }
+    return fresh;
 }
 
 }  // namespace
@@ -53,8 +69,7 @@ FlowResult ApproxFpgasFlow::run(gen::AcLibrary library) const {
         std::max<std::size_t>(8, static_cast<std::size_t>(config_.trainFraction *
                                                           static_cast<double>(n)));
     std::vector<std::size_t> subset = rng.sampleIndices(n, std::min(subsetSize, n));
-    for (std::size_t idx : subset)
-        measureCircuit(circuits[idx], config_.fpgaFlow, config_.cache, result.flowSynthSeconds);
+    measureCircuits(circuits, subset, config_.fpgaFlow, config_.cache, result.flowSynthSeconds);
 
     // --- step 2: train/validation split -----------------------------------
     const std::size_t valCount = std::max<std::size_t>(
@@ -156,10 +171,9 @@ FlowResult ApproxFpgasFlow::run(gen::AcLibrary library) const {
         std::sort(outcome.pseudoParetoIndices.begin(), outcome.pseudoParetoIndices.end());
 
         // Re-synthesize the pseudo-Pareto circuits to get true numbers.
-        for (std::size_t idx : outcome.pseudoParetoIndices)
-            if (measureCircuit(circuits[idx], config_.fpgaFlow, config_.cache,
-                               result.flowSynthSeconds))
-                outcome.resynthesized.push_back(idx);
+        outcome.resynthesized = measureCircuits(circuits, outcome.pseudoParetoIndices,
+                                                config_.fpgaFlow, config_.cache,
+                                                result.flowSynthSeconds);
 
         result.targets.push_back(std::move(outcome));
     }
@@ -185,11 +199,20 @@ FlowResult ApproxFpgasFlow::run(gen::AcLibrary library) const {
     if (config_.evaluateCoverage) {
         // Ground-truth measurements (not charged to the flow's time).
         std::vector<synth::FpgaReport> truth(n);
-        for (std::size_t i = 0; i < n; ++i)
-            truth[i] = circuits[i].fpgaMeasured
-                           ? circuits[i].fpga
-                           : cache::implementCached(config_.cache, config_.fpgaFlow,
-                                                    circuits[i].circuit.netlist);
+        std::vector<std::size_t> unmeasured;
+        std::vector<const circuit::Netlist*> netlists;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (circuits[i].fpgaMeasured) {
+                truth[i] = circuits[i].fpga;
+            } else {
+                unmeasured.push_back(i);
+                netlists.push_back(&circuits[i].circuit.netlist);
+            }
+        }
+        std::vector<synth::FpgaReport> measured =
+            cache::implementCachedBatch(config_.cache, config_.fpgaFlow, netlists);
+        for (std::size_t j = 0; j < unmeasured.size(); ++j)
+            truth[unmeasured[j]] = std::move(measured[j]);
         for (TargetOutcome& outcome : result.targets) {
             std::vector<ParetoPoint> all(n);
             for (std::size_t i = 0; i < n; ++i)

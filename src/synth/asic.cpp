@@ -5,6 +5,8 @@
 
 #include "src/circuit/simulator.hpp"
 #include "src/circuit/transform.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 #include "src/util/rng.hpp"
 
 namespace axf::synth {
@@ -49,6 +51,9 @@ const CellSpec& AsicFlow::cellSpec(GateKind kind) {
 }
 
 AsicReport AsicFlow::synthesize(const Netlist& raw) const {
+    obs::Span span("asic_synth");
+    static obs::Counter& syntheses = obs::Registry::global().counter("synth.asic_syntheses");
+    syntheses.add();
     const Netlist netlist = circuit::simplify(raw);
     AsicReport report;
 

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <vector>
 
 #include "src/circuit/simulator.hpp"
 #include "src/circuit/transform.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 #include "src/synth/synth_time.hpp"
 #include "src/util/rng.hpp"
 
@@ -15,16 +16,28 @@ namespace axf::synth {
 using circuit::Netlist;
 using circuit::NodeId;
 
+namespace {
+
+/// Logic optimization ahead of mapping: simplify, lower to two-input
+/// gates, simplify again.
+Netlist optimizeForMapping(const Netlist& netlist) {
+    return circuit::simplify(circuit::lowerToTwoInput(circuit::simplify(netlist)));
+}
+
+}  // namespace
+
 LutMapper::Mapping FpgaFlow::technologyMap(const Netlist& netlist) const {
-    const Netlist optimized =
-        circuit::simplify(circuit::lowerToTwoInput(circuit::simplify(netlist)));
-    return LutMapper(options_.mapper).map(optimized);
+    return LutMapper(options_.mapper).map(optimizeForMapping(netlist));
 }
 
 FpgaReport FpgaFlow::implement(const Netlist& netlist) const {
+    obs::Span span("fpga_implement");
+    static obs::Counter& implementations =
+        obs::Registry::global().counter("synth.fpga_implementations");
+    implementations.add();
+
     // --- synthesis: optimize, lower, map ----------------------------------
-    const Netlist optimized =
-        circuit::simplify(circuit::lowerToTwoInput(circuit::simplify(netlist)));
+    const Netlist optimized = optimizeForMapping(netlist);
     const LutMapper::Mapping mapping = LutMapper(options_.mapper).map(optimized);
 
     FpgaReport report;
@@ -41,14 +54,16 @@ FpgaReport FpgaFlow::implement(const Netlist& netlist) const {
     util::Rng jitter(optimized.structuralHash() ^ options_.seed);
 
     // --- net fan-outs in the mapped network --------------------------------
-    std::unordered_map<NodeId, int> netFanout;
+    // A net nothing in the mapped network reads (count 0) is costed as
+    // fan-out 1.
+    std::vector<int> netFanout(optimized.nodeCount(), 0);
     for (const LutMapper::Lut& lut : mapping.luts)
         for (NodeId leaf : lut.leaves) ++netFanout[leaf];
     for (NodeId out : optimized.outputs()) ++netFanout[out];
+    const auto fanoutOf = [&](NodeId driver) { return std::max(netFanout[driver], 1); };
 
     const auto netDelay = [&](NodeId driver) {
-        const auto it = netFanout.find(driver);
-        const int fo = it == netFanout.end() ? 1 : it->second;
+        const int fo = fanoutOf(driver);
         const double base = options_.netDelayBaseNs +
                             options_.netDelayFanoutNs * std::log2(1.0 + static_cast<double>(fo));
         return base;
@@ -70,15 +85,18 @@ FpgaReport FpgaFlow::implement(const Netlist& netlist) const {
     // --- power: switching activity of the LUT output nets ------------------
     // Chunk-deterministic and thread-parallel (per-chunk counters merged in
     // block order): identical rates at any worker count, and safe when
-    // `implement` itself runs inside a parallel library build (nested
-    // parallelFor degrades to inline execution).
-    const std::vector<double> toggles =
-        circuit::estimateToggleRates(optimized, options_.activitySeed, options_.activityBlocks);
+    // `implement` itself runs inside a parallel batch over circuits (nested
+    // parallelFor degrades to inline execution on a worker).
+    std::vector<double> toggles;
+    {
+        obs::Span toggleSpan("toggle_rates");
+        toggles = circuit::estimateToggleRates(optimized, options_.activitySeed,
+                                               options_.activityBlocks);
+    }
 
     double dynamicMw = 0.0;
     for (const LutMapper::Lut& lut : mapping.luts) {
-        const auto it = netFanout.find(lut.root);
-        const int fo = it == netFanout.end() ? 1 : it->second;
+        const int fo = fanoutOf(lut.root);
         const double cap = options_.lutCapFf + options_.wireCapFf * static_cast<double>(fo);
         // alpha * C[fF] * f[MHz] * V^2 -> nW; 1e-5 folds the fF/MHz unit
         // conversion and the fabric's effective voltage into mW.

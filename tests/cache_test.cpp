@@ -477,5 +477,72 @@ TEST_F(CacheTest, CachedFlowHelpersMatchDirectComputation) {
     EXPECT_EQ(cache.stats().hits, 2u);
 }
 
+template <typename Report>
+std::vector<std::uint8_t> bytesOf(const Report& report) {
+    util::ByteWriter out;
+    report.serialize(out);
+    return out.bytes();
+}
+
+/// Every resident entry, in `forEachEntry` order.
+std::vector<std::pair<CacheKey, std::vector<std::uint8_t>>> entriesOf(CC& cache) {
+    std::vector<std::pair<CacheKey, std::vector<std::uint8_t>>> entries;
+    cache.forEachEntry([&](const CacheKey& key, const std::vector<std::uint8_t>& payload) {
+        entries.emplace_back(key, payload);
+    });
+    return entries;
+}
+
+void expectSameStats(const CacheStats& a, const CacheStats& b) {
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.stores, b.stores);
+    EXPECT_EQ(a.evictions, b.evictions);
+}
+
+TEST_F(CacheTest, BatchedFlowHelpersEqualSerialCalls) {
+    // A pre-warmed entry (hit), fresh circuits (misses) and a circuit that
+    // repeats within the batch (computed once, then hit).
+    const std::vector<circuit::Netlist> nets = {
+        gen::etaAdder(8, 4),          gen::rippleCarryAdder(8), gen::wallaceMultiplier(4),
+        gen::etaAdder(8, 4),          gen::truncatedMultiplier(6, 3),
+        gen::koggeStoneAdder(8)};
+    std::vector<const circuit::Netlist*> ptrs;
+    for (const circuit::Netlist& net : nets) ptrs.push_back(&net);
+    const synth::FpgaFlow fpga;
+    const synth::AsicFlow asic;
+
+    CC serial, batched;
+    for (CC* cache : {&serial, &batched}) {
+        implementCached(cache, fpga, nets[1]);
+        synthesizeCached(cache, asic, nets[1]);
+    }
+    std::vector<synth::FpgaReport> fpgaSerial;
+    std::vector<synth::AsicReport> asicSerial;
+    for (const circuit::Netlist& net : nets) fpgaSerial.push_back(implementCached(&serial, fpga, net));
+    for (const circuit::Netlist& net : nets) asicSerial.push_back(synthesizeCached(&serial, asic, net));
+    const std::vector<synth::FpgaReport> fpgaBatch = implementCachedBatch(&batched, fpga, ptrs);
+    const std::vector<synth::AsicReport> asicBatch = synthesizeCachedBatch(&batched, asic, ptrs);
+
+    ASSERT_EQ(fpgaBatch.size(), nets.size());
+    ASSERT_EQ(asicBatch.size(), nets.size());
+    for (std::size_t i = 0; i < nets.size(); ++i) {
+        EXPECT_EQ(bytesOf(fpgaSerial[i]), bytesOf(fpgaBatch[i])) << nets[i].name();
+        EXPECT_EQ(bytesOf(asicSerial[i]), bytesOf(asicBatch[i])) << nets[i].name();
+    }
+    expectSameStats(serial.stats(), batched.stats());
+    EXPECT_EQ(batched.stats().hits, 4u);  // the pre-warmed and the repeated circuit, twice
+    EXPECT_EQ(entriesOf(serial), entriesOf(batched));
+
+    // Without a cache a batch is the plain computation.
+    const std::vector<synth::FpgaReport> uncached = implementCachedBatch(nullptr, fpga, ptrs);
+    const std::vector<synth::AsicReport> uncachedAsic = synthesizeCachedBatch(nullptr, asic, ptrs);
+    for (std::size_t i = 0; i < nets.size(); ++i) {
+        EXPECT_EQ(bytesOf(fpga.implement(nets[i])), bytesOf(uncached[i]));
+        EXPECT_EQ(bytesOf(asic.synthesize(nets[i])), bytesOf(uncachedAsic[i]));
+    }
+    EXPECT_TRUE(implementCachedBatch(&batched, fpga, {}).empty());
+}
+
 }  // namespace
 }  // namespace axf::cache
