@@ -25,10 +25,13 @@ core::CircuitDataset measuredDataset(gen::AcLibrary library, double fraction,
     std::vector<std::size_t> subset = rng.sampleIndices(
         ds.size(), std::max<std::size_t>(10, static_cast<std::size_t>(
                                                  fraction * static_cast<double>(ds.size()))));
-    for (std::size_t idx : subset) {
-        ds.circuits()[idx].fpga = cache::implementCached(bench::sharedCache(), fpga,
-                                                         ds.circuits()[idx].circuit.netlist);
-        ds.circuits()[idx].fpgaMeasured = true;
+    std::vector<const circuit::Netlist*> netlists;
+    for (std::size_t idx : subset) netlists.push_back(&ds.circuits()[idx].circuit.netlist);
+    std::vector<synth::FpgaReport> reports =
+        cache::implementCachedBatch(bench::sharedCache(), fpga, netlists);
+    for (std::size_t j = 0; j < subset.size(); ++j) {
+        ds.circuits()[subset[j]].fpga = std::move(reports[j]);
+        ds.circuits()[subset[j]].fpgaMeasured = true;
     }
     return ds;
 }

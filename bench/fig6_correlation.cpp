@@ -26,9 +26,14 @@ static int benchMain() {
     core::CircuitDataset ds = core::CircuitDataset::characterize(
         std::move(library), synth::AsicFlow(), bench::sharedCache());
     synth::FpgaFlow fpga;
-    for (core::CharacterizedCircuit& cc : ds.circuits()) {
-        cc.fpga = cache::implementCached(bench::sharedCache(), fpga, cc.circuit.netlist);
-        cc.fpgaMeasured = true;
+    std::vector<const circuit::Netlist*> netlists;
+    for (const core::CharacterizedCircuit& cc : ds.circuits())
+        netlists.push_back(&cc.circuit.netlist);
+    std::vector<synth::FpgaReport> reports =
+        cache::implementCachedBatch(bench::sharedCache(), fpga, netlists);
+    for (std::size_t i = 0; i < ds.size(); ++i) {
+        ds.circuits()[i].fpga = std::move(reports[i]);
+        ds.circuits()[i].fpgaMeasured = true;
     }
     util::Rng rng(0xF16);
     const std::vector<std::size_t> subset = rng.sampleIndices(

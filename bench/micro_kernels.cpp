@@ -406,10 +406,9 @@ void printCompiledStats(const circuit::Netlist& net) {
     const circuit::CompiledNetlist::Stats s = circuit::CompiledNetlist::compile(net).stats();
     std::printf(
         "compiled %-14s backend=%-8s W=%-2zu %3zu gates -> %3zu instrs (%zu fused ops, %zu "
-        "gates folded), %zu runs (longest %zu, %zu chained)%s\n",
+        "gates folded), %zu runs (longest %zu)\n",
         net.name().c_str(), s.backend, s.blockWords, net.gateCount(), s.instructions,
-        s.fusedOps, s.gatesFused, s.runs, s.longestRun, s.chainedRuns,
-        s.specialized ? ", specialized" : "");
+        s.fusedOps, s.gatesFused, s.runs, s.longestRun);
 }
 
 void printSpeedupSummary() {

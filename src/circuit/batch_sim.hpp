@@ -23,11 +23,11 @@ namespace axf::circuit {
 /// immutable and sharable — one `CompiledNetlist` can back any number of
 /// `BatchSimulator` workspaces (e.g. one per worker thread).
 ///
-/// Evaluation is driven by a kernel *plan*: one pre-resolved function
-/// pointer per maximal same-opcode run, snapshot against a
-/// `kernels::Backend` (runtime CPU dispatch: AVX-512 / AVX2 / NEON /
-/// portable) at compile() time.  Every backend computes bit-identical
-/// results; only instruction selection differs.
+/// Evaluation makes one kernel call per maximal same-opcode run: the run
+/// kernel for its opcode in the `kernels::Backend` (runtime CPU dispatch:
+/// AVX-512 / AVX2 / NEON / portable) fixed at compile() time.  Every
+/// backend computes bit-identical results; only instruction selection
+/// differs.
 ///
 /// Instruction operands are *slot* indices into a workspace of
 /// `slotCount() * W` words, where `W` is the number of 64-bit words carried
@@ -51,11 +51,6 @@ public:
     static constexpr std::size_t kMaxWordsPerBlock = kernels::kMaxWideWords;
     static constexpr std::size_t kMaxLanesPerBlock = kernels::kMaxWideLanes;
 
-    /// Programs at or below this instruction count are specialized
-    /// automatically: short runs dispatch to fully unrolled straight-line
-    /// kernel instantiations (the "superblock" plan).
-    static constexpr std::size_t kAutoSpecializeInstructions = 256;
-
     struct Options {
         /// Drop gates outside the output cone.  Disable when per-node
         /// values of *every* node are needed (slot == node id then; this
@@ -63,8 +58,8 @@ public:
         bool pruneDead = true;
         /// Peephole-fuse single-use gate chains (pruned compiles only).
         bool fuseOps = true;
-        /// Kernel backend to resolve the plan against; nullptr selects the
-        /// process-wide `kernels::selectedBackend()`.
+        /// Kernel backend to run on; nullptr selects the process-wide
+        /// `kernels::selectedBackend()`.
         const kernels::Backend* backend = nullptr;
         /// Block width in words (4 / 8 / 16) for this program's
         /// `BatchSimulator` workspaces; 0 picks automatically (override
@@ -78,12 +73,10 @@ public:
         std::size_t instructions = 0;  ///< emitted instructions (post-fusion)
         std::size_t runs = 0;          ///< same-opcode dispatch groups
         std::size_t longestRun = 0;    ///< instructions in the largest run
-        std::size_t chainedRuns = 0;   ///< runs using register-chained kernels
         std::size_t fusedOps = 0;      ///< peephole rewrites applied
         std::size_t gatesFused = 0;    ///< live gates folded away by fusion
-        const char* backend = "";      ///< kernel backend the plan resolves to
+        const char* backend = "";      ///< kernel backend the program runs on
         std::size_t blockWords = 0;    ///< chosen block width (words per slot)
-        bool specialized = false;      ///< unrolled straight-line plan active
     };
 
     /// Maximal run of same-opcode instructions: the evaluator dispatches
@@ -93,9 +86,6 @@ public:
     struct Run {
         kernels::OpCode op;
         std::uint32_t begin, end;  ///< [begin, end) into instructions()
-        /// Every instruction after the first reads its predecessor's
-        /// destination as operand a: dispatches to the chained kernels.
-        bool chained = false;
     };
 
     CompiledNetlist() = default;
@@ -120,10 +110,9 @@ public:
     std::span<const std::uint32_t> outputSlots() const { return outputSlots_; }
     /// Source-netlist node held by each workspace slot (indexed by slot).
     std::span<const NodeId> slotNodes() const { return slotNode_; }
-    /// The schedule: maximal same-opcode runs partitioning instructions(),
-    /// with the chain claims the plan's kernel selection relies on.  The
-    /// static verifier (src/verify) re-checks every claim against the
-    /// instruction stream.
+    /// The schedule: maximal same-opcode runs partitioning instructions().
+    /// The static verifier (src/verify) re-checks the partition against
+    /// the instruction stream.
     std::span<const Run> runs() const { return runs_; }
     /// Hoisted constant slots and their values (written once by
     /// initWorkspace, never touched by run()).
@@ -137,13 +126,6 @@ public:
     std::size_t blockLanes() const { return blockWords_ * 64; }
 
     Stats stats() const;
-
-    /// Rebuilds the kernel plan with the unrolled short-run ("superblock")
-    /// variants.  compile() applies this automatically at or below
-    /// kAutoSpecializeInstructions; calling it on larger programs forces
-    /// the straight-line plan.  Idempotent; results are bit-identical.
-    void specialize();
-    bool specialized() const { return specialized_; }
 
     std::size_t workspaceWords(std::size_t wordsPerSlot) const {
         return slotCount_ * wordsPerSlot;
@@ -180,32 +162,17 @@ public:
 
     /// `run<W>` with stuck-at overrides.  `faults` must be ordered with
     /// input-stage faults first, then ascending `afterInstr` (several
-    /// faults may share one instruction).  Fault-free runs dispatch through
-    /// the pre-resolved plan exactly like `run`; a run containing a fault
-    /// boundary is split into sub-ranges driven through the backend's
-    /// generic kernels, which compute bit-identical results on any
-    /// contiguous sub-range.  With an empty fault list this is exactly
-    /// `run<W>`.
+    /// faults may share one instruction).  A run containing a fault
+    /// boundary is split into sub-ranges, each driven through the same run
+    /// kernel as the whole run would be.  With an empty fault list this is
+    /// exactly `run<W>`.
     template <std::size_t W>
     void runWithFaults(const Word* inputs, Word* outputs, Word* workspace,
                        std::span<const InjectedFault> faults) const;
 
 private:
-    /// One plan entry per run: kernels pre-resolved against `backend_`,
-    /// one per wide width (indexed by `kernels::widthIndex`) plus the
-    /// narrow W = 1 variant — so a single compiled program dispatches at
-    /// any width without re-planning.
-    struct PlannedRun {
-        std::array<kernels::KernelFn, kernels::kWidthCount> wide;
-        kernels::KernelFn narrow;
-        std::uint32_t begin, count;
-    };
-
-    void buildPlan();
-
     std::vector<kernels::Instr> instrs_;
     std::vector<Run> runs_;
-    std::vector<PlannedRun> plan_;
     std::vector<std::uint32_t> inputSlots_;
     std::vector<std::uint32_t> outputSlots_;
     std::vector<NodeId> slotNode_;
@@ -216,7 +183,6 @@ private:
     std::size_t gatesFused_ = 0;
     const kernels::Backend* backend_ = nullptr;
     bool allNodes_ = false;
-    bool specialized_ = false;
 };
 
 /// Multi-word evaluator: carries `blockLanes()` (256 / 512 / 1024,
@@ -283,30 +249,9 @@ inline constexpr std::array<CompiledNetlist::Word, 6> kExhaustiveLanePattern = {
     0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
     0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
 
-/// Fills an input-major block (`totalBits * W` words) so that lane L of the
-/// block carries input index `base + L`, for W words of 64 lanes each.
-/// `base` must be a multiple of `W * 64`.
-template <std::size_t W>
-inline void fillExhaustiveBlock(std::span<CompiledNetlist::Word> inputWords, int totalBits,
-                                std::uint64_t base) {
-    using Word = CompiledNetlist::Word;
-    for (int bit = 0; bit < totalBits; ++bit) {
-        Word* words = inputWords.data() + static_cast<std::size_t>(bit) * W;
-        if (bit < 6) {
-            for (std::size_t w = 0; w < W; ++w) words[w] = kExhaustiveLanePattern[static_cast<std::size_t>(bit)];
-        } else if (static_cast<std::uint64_t>(1) << (bit - 6) < W) {
-            // Bits addressing the word index inside the block.
-            for (std::size_t w = 0; w < W; ++w)
-                words[w] = (w >> (bit - 6)) & 1u ? ~Word{0} : Word{0};
-        } else {
-            const Word v = (base >> bit) & 1u ? ~Word{0} : Word{0};
-            for (std::size_t w = 0; w < W; ++w) words[w] = v;
-        }
-    }
-}
-
-/// Runtime-width overload for call sites driven by a compiled program's
-/// `blockWords()`.  Bit-identical to the template at every width.
+/// Fills an input-major block (`totalBits * blockWords` words) so that
+/// lane L of the block carries input index `base + L`, for `blockWords`
+/// words of 64 lanes each.  `base` must be a multiple of `blockWords * 64`.
 inline void fillExhaustiveBlock(std::span<CompiledNetlist::Word> inputWords, int totalBits,
                                 std::uint64_t base, std::size_t blockWords) {
     using Word = CompiledNetlist::Word;

@@ -12,9 +12,9 @@ namespace axf::circuit::kernels {
 using Word = std::uint64_t;
 
 /// The compile-time width set: words per slot of the wide configurations.
-/// Every backend instantiates its full kernel family (generic, unrolled,
-/// chained, decoders) once per width; `CompiledNetlist` picks one width per
-/// netlist at compile time (footprint heuristic / AXF_FORCE_WIDTH /
+/// Every backend instantiates its kernel tables (run kernels, decoders)
+/// once per width; `CompiledNetlist` picks one width per netlist at
+/// compile time (footprint heuristic / AXF_FORCE_WIDTH /
 /// ScopedWidthOverride) and can still be run at any of them.  Width is
 /// purely an execution-shape knob: results are bit-identical across the
 /// whole set, pinned by differential tests against the W = 4 oracle.
@@ -42,8 +42,8 @@ constexpr std::size_t widthIndex(std::size_t words) {
 /// Instruction alphabet of the compiled engine: every logic `GateKind`
 /// plus the fused instructions produced by the peephole pass in
 /// `CompiledNetlist::compile`.  Fused ops exist so a 2-gate single-use
-/// chain costs one dispatch, one destination store and (on AVX-512) a
-/// single `vpternlogq` instead of two full workspace round-trips.
+/// chain costs one dispatch and one destination store instead of two full
+/// workspace round-trips.
 enum class OpCode : std::uint8_t {
     Buf,      ///< a
     Not,      ///< ~a
@@ -92,8 +92,7 @@ constexpr int opFanIn(OpCode op) {
 /// that is the *sum*; the carry written to slot `c` is `opCarryEval`).
 /// THE single source of truth every executable form must derive from or be
 /// checked against: the generic kernel bodies (static_asserted in
-/// kernels_generic.inc), the AVX-512 ternlog immediates (computed from
-/// `opTruthTable` directly), the `GateKind` lowering (static_asserted in
+/// kernels_generic.inc), the `GateKind` lowering (static_asserted in
 /// batch_sim.cpp) and the static verifier's fusion-legality check
 /// (src/verify re-derives every fused instruction's function from it).
 constexpr bool opEval(OpCode op, bool a, bool b, bool c) {
@@ -123,17 +122,6 @@ constexpr bool opEval(OpCode op, bool a, bool b, bool c) {
 /// HalfAdd's secondary result, written to the `c` slot.
 constexpr bool opCarryEval(bool a, bool b) { return a && b; }
 
-/// 8-entry truth table of the primary result, bit index (a << 2) | (b <<
-/// 1) | c — exactly the vpternlogq immediate layout, so the AVX-512
-/// backend uses this value as its immediate with no hand-written copy.
-constexpr std::uint8_t opTruthTable(OpCode op) {
-    std::uint8_t table = 0;
-    for (int k = 0; k < 8; ++k)
-        if (opEval(op, (k & 4) != 0, (k & 2) != 0, (k & 1) != 0))
-            table |= static_cast<std::uint8_t>(1u << k);
-    return table;
-}
-
 /// One compiled instruction.  Operands are workspace slot indices; for
 /// `HalfAdd` the `c` field is the *second destination* (the carry slot),
 /// not an operand.
@@ -144,13 +132,8 @@ struct Instr {
 
 /// Evaluates one maximal same-opcode run of `count` instructions against a
 /// workspace of (slotCount * W) words.  The instruction pointer addresses
-/// the first instruction of the run.
-///
-/// Chained kernels additionally require (compile guarantees it) that every
-/// instruction after the first reads the previous instruction's primary
-/// destination as operand `a` — the hot value then rides in a register
-/// through the whole run instead of round-tripping through the workspace
-/// (the latency killer of ripple-carry-style serial chains).
+/// the first instruction of the run; any contiguous sub-range of a run is
+/// itself a valid run.
 using KernelFn = void (*)(const Instr* instrs, std::uint32_t count, Word* ws);
 
 /// Decodes `bits` output bit-planes of a wide block (W words per plane,
@@ -159,66 +142,28 @@ using KernelFn = void (*)(const Instr* instrs, std::uint32_t count, Word* ws);
 using Decode16Fn = void (*)(const Word* planes, std::size_t bits, std::uint16_t* out);
 using Decode32Fn = void (*)(const Word* planes, std::size_t bits, std::uint32_t* out);
 
-/// Longest run the unrolled ("superblock") kernel variants cover; runs of
-/// `n <= kMaxUnroll` instructions dispatch to a fully unrolled template
-/// instantiation when the compiled netlist is specialized.
-inline constexpr std::uint32_t kMaxUnroll = 4;
-
-/// True when every row of a kernel table is populated.  A brace-init list
-/// shorter than `kOpCount` compiles fine (the tail value-initializes to
-/// nullptr), so each backend TU static_asserts this over its tables —
-/// adding an opcode without extending every row is a build error, not a
-/// null-call crash at dispatch time.
-constexpr bool tableComplete(const std::array<KernelFn, kOpCount>& table) {
-    for (const KernelFn fn : table)
-        if (fn == nullptr) return false;
-    return true;
-}
-constexpr bool tableComplete(
-    const std::array<std::array<KernelFn, kMaxUnroll>, kOpCount>& table) {
-    for (const auto& row : table)
-        for (const KernelFn fn : row)
-            if (fn == nullptr) return false;
-    return true;
-}
-
-/// Complete kernel family of one backend at one block width W: the generic
-/// per-run kernels, the fully unrolled straight-line variants for runs of
-/// 1..kMaxUnroll instructions (indexed [op][count - 1]; nullptr falls back
-/// to `run`), the register-chained variants, and the bit-plane decoders.
+/// Kernels of one backend at one block width W: one run kernel per opcode
+/// and the bit-plane decoders.
 struct WidthTables {
     std::array<KernelFn, kOpCount> run;
-    std::array<std::array<KernelFn, kMaxUnroll>, kOpCount> unrolled;
-    std::array<KernelFn, kOpCount> chained;
     Decode16Fn decode16;
     Decode32Fn decode32;
 };
 
 /// One ISA backend: a complete kernel table per block width, selected once
 /// per process (or forced per compile).  All backends compute bit-identical
-/// results at every width — the tables differ only in instruction
-/// selection and register shape.
+/// results at every width — the tables differ only in the ISA their
+/// translation unit is compiled for.
 struct Backend {
     const char* name;
-    /// Wide kernel families, indexed by `widthIndex(W)` for W in
+    /// Wide kernel tables, indexed by `widthIndex(W)` for W in
     /// kWideWidths (4 -> 256, 8 -> 512, 16 -> 1024 lanes per dispatch).
     std::array<WidthTables, kWidthCount> wide;
-    /// Generic per-run kernels, W = 1 (64 lanes; `Simulator`, activity).
+    /// Run kernels at W = 1 (64 lanes; `Simulator`, activity).
     std::array<KernelFn, kOpCount> narrow;
-    /// Register-chained W = 1 variants.
-    std::array<KernelFn, kOpCount> narrowChained;
 
     const WidthTables& at(std::size_t words) const { return wide[widthIndex(words)]; }
 };
-
-/// True when every table of every width row is fully populated.
-constexpr bool tablesComplete(const std::array<WidthTables, kWidthCount>& wide) {
-    for (const WidthTables& t : wide)
-        if (!tableComplete(t.run) || !tableComplete(t.unrolled) || !tableComplete(t.chained) ||
-            t.decode16 == nullptr || t.decode32 == nullptr)
-            return false;
-    return true;
-}
 
 /// Backend chosen for this process: the widest ISA the CPU supports
 /// (avx512 > avx2 > neon > portable), overridable with AXF_FORCE_BACKEND

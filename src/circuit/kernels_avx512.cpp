@@ -1,15 +1,10 @@
-// AVX-512 backend.  Each block width maps to its natural register shape —
-// W = 4 (256 lanes) runs on ymm via AVX-512VL, W = 8 (512 lanes) on one
-// zmm, W = 16 (1024 lanes) on a zmm pair — so the W = 8 family is the
-// first to retire a full 512-bit register per logic op.  The win over AVX2
-// at every width is vpternlogq: every 3-input or inverted gate (Mux, Maj,
-// Xor3, Nand, Nor, Xnor, OrNot, MuxNot*) is exactly ONE logic instruction
-// whose truth-table immediate is computed at compile time from the shared
-// OpCode semantics (width-invariant: the same immediate serves every
-// register shape).  The bit-plane decoders use AVX-512BW masked
-// broadcast-adds (the plane word itself is the write mask), tiled in
-// 256-lane groups so the accumulator set stays within the register file at
-// every width.
+// AVX-512 backend: the generic run kernels compiled for x86-64-v4, where
+// each block width maps to its natural register shape — W = 4 (256 lanes)
+// on ymm via AVX-512VL, W = 8 (512 lanes) on one zmm, W = 16 (1024 lanes)
+// on a zmm pair.  The one hand-written part is the bit-plane decoders:
+// AVX-512BW masked broadcast-adds (the plane word itself is the write
+// mask), tiled in 256-lane groups so the accumulator set stays within the
+// register file at every width.
 //
 // CMake compiles this TU with -march=x86-64-v4; nothing in it executes
 // unless runtime detection confirmed avx512{f,bw,vl,dq}.
@@ -25,173 +20,6 @@ namespace axf::circuit::kernels {
 namespace avx512_impl {
 
 #include "src/circuit/kernels_generic.inc"
-
-/// vpternlogq immediate: result bit = imm[(A << 2) | (B << 1) | C] for
-/// operand order ternarylogic(a, b, c, imm) — exactly the layout of the
-/// shared `opTruthTable`, so the immediate IS the truth table.  No
-/// hand-written immediates exist to drift from the opcode semantics.
-template <OpCode Op>
-constexpr int ternImm() {
-    return opTruthTable(Op);
-}
-
-/// One workspace slot in the natural register shape of width W.
-template <std::size_t W>
-struct SlotVec;
-
-template <>
-struct SlotVec<4> {
-    using T = __m256i;
-    static T load(const Word* p) { return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)); }
-    static void store(Word* p, T v) { _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v); }
-    static T and_(T a, T b) { return _mm256_and_si256(a, b); }
-    static T or_(T a, T b) { return _mm256_or_si256(a, b); }
-    static T xor_(T a, T b) { return _mm256_xor_si256(a, b); }
-    static T andnot(T a, T b) { return _mm256_andnot_si256(b, a); }  // a & ~b
-    template <int Imm>
-    static T tern(T a, T b, T c) {
-        return _mm256_ternarylogic_epi64(a, b, c, Imm);
-    }
-};
-
-template <>
-struct SlotVec<8> {
-    using T = __m512i;
-    static T load(const Word* p) { return _mm512_loadu_si512(p); }
-    static void store(Word* p, T v) { _mm512_storeu_si512(p, v); }
-    static T and_(T a, T b) { return _mm512_and_si512(a, b); }
-    static T or_(T a, T b) { return _mm512_or_si512(a, b); }
-    static T xor_(T a, T b) { return _mm512_xor_si512(a, b); }
-    static T andnot(T a, T b) { return _mm512_andnot_si512(b, a); }  // a & ~b
-    template <int Imm>
-    static T tern(T a, T b, T c) {
-        return _mm512_ternarylogic_epi64(a, b, c, Imm);
-    }
-};
-
-template <>
-struct SlotVec<16> {
-    struct T {
-        __m512i lo, hi;
-    };
-    static T load(const Word* p) { return {_mm512_loadu_si512(p), _mm512_loadu_si512(p + 8)}; }
-    static void store(Word* p, T v) {
-        _mm512_storeu_si512(p, v.lo);
-        _mm512_storeu_si512(p + 8, v.hi);
-    }
-    static T and_(T a, T b) {
-        return {_mm512_and_si512(a.lo, b.lo), _mm512_and_si512(a.hi, b.hi)};
-    }
-    static T or_(T a, T b) { return {_mm512_or_si512(a.lo, b.lo), _mm512_or_si512(a.hi, b.hi)}; }
-    static T xor_(T a, T b) {
-        return {_mm512_xor_si512(a.lo, b.lo), _mm512_xor_si512(a.hi, b.hi)};
-    }
-    static T andnot(T a, T b) {
-        return {_mm512_andnot_si512(b.lo, a.lo), _mm512_andnot_si512(b.hi, a.hi)};
-    }
-    template <int Imm>
-    static T tern(T a, T b, T c) {
-        return {_mm512_ternarylogic_epi64(a.lo, b.lo, c.lo, Imm),
-                _mm512_ternarylogic_epi64(a.hi, b.hi, c.hi, Imm)};
-    }
-};
-
-/// Single-result opcode on one W-word slot: plain ops where one
-/// instruction per register suffices, vpternlogq everywhere else.
-template <std::size_t W, OpCode Op>
-inline typename SlotVec<W>::T applyWide(typename SlotVec<W>::T a, typename SlotVec<W>::T b,
-                                        typename SlotVec<W>::T c) {
-    using V = SlotVec<W>;
-    if constexpr (Op == OpCode::Buf) return a;
-    if constexpr (Op == OpCode::And) return V::and_(a, b);
-    if constexpr (Op == OpCode::Or) return V::or_(a, b);
-    if constexpr (Op == OpCode::Xor) return V::xor_(a, b);
-    if constexpr (Op == OpCode::AndNot) return V::andnot(a, b);
-    if constexpr (Op == OpCode::Not) return V::template tern<ternImm<Op>()>(a, a, a);
-    if constexpr (Op == OpCode::Nand || Op == OpCode::Nor || Op == OpCode::Xnor ||
-                  Op == OpCode::OrNot)
-        return V::template tern<ternImm<Op>()>(a, b, b);  // imm ignores C
-    if constexpr (opFanIn(Op) == 3) return V::template tern<ternImm<Op>()>(a, b, c);
-}
-
-template <std::size_t W, OpCode Op, int N>
-void runWide(const Instr* instrs, std::uint32_t count, Word* ws) {
-    using V = SlotVec<W>;
-    const auto ptr = [ws](std::uint32_t s) { return ws + static_cast<std::size_t>(s) * W; };
-    const std::uint32_t n = N >= 0 ? static_cast<std::uint32_t>(N) : count;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const Instr& ins = instrs[i];
-        const typename V::T a = V::load(ptr(ins.a));
-        if constexpr (Op == OpCode::HalfAdd) {
-            const typename V::T b = V::load(ptr(ins.b));
-            V::store(ptr(ins.c), V::and_(a, b));
-            V::store(ptr(ins.dst), V::xor_(a, b));
-        } else {
-            typename V::T b = a, c = a;
-            if constexpr (opFanIn(Op) >= 2) b = V::load(ptr(ins.b));
-            if constexpr (opFanIn(Op) >= 3) c = V::load(ptr(ins.c));
-            V::store(ptr(ins.dst), applyWide<W, Op>(a, b, c));
-        }
-    }
-}
-
-/// Chained run: instruction i > 0 consumes instruction i-1's destination
-/// as operand `a` from a register (see KernelFn in kernels.hpp).
-template <std::size_t W, OpCode Op>
-void chainWide(const Instr* instrs, std::uint32_t count, Word* ws) {
-    using V = SlotVec<W>;
-    const auto ptr = [ws](std::uint32_t s) { return ws + static_cast<std::size_t>(s) * W; };
-    typename V::T prev = V::load(ptr(instrs[0].a));
-    for (std::uint32_t i = 0; i < count; ++i) {
-        const Instr& ins = instrs[i];
-        const typename V::T a = prev;
-        if constexpr (Op == OpCode::HalfAdd) {
-            const typename V::T b = V::load(ptr(ins.b));
-            V::store(ptr(ins.c), V::and_(a, b));
-            prev = V::xor_(a, b);
-        } else {
-            typename V::T b = a, c = a;
-            if constexpr (opFanIn(Op) >= 2) b = V::load(ptr(ins.b));
-            if constexpr (opFanIn(Op) >= 3) c = V::load(ptr(ins.c));
-            prev = applyWide<W, Op>(a, b, c);
-        }
-        V::store(ptr(ins.dst), prev);
-    }
-}
-
-#define AXF_KERNEL_ROW(W, N)                                                                   \
-    {&runWide<W, OpCode::Buf, N>,     &runWide<W, OpCode::Not, N>,                             \
-     &runWide<W, OpCode::And, N>,     &runWide<W, OpCode::Or, N>,                              \
-     &runWide<W, OpCode::Xor, N>,     &runWide<W, OpCode::Nand, N>,                            \
-     &runWide<W, OpCode::Nor, N>,     &runWide<W, OpCode::Xnor, N>,                            \
-     &runWide<W, OpCode::AndNot, N>,  &runWide<W, OpCode::OrNot, N>,                           \
-     &runWide<W, OpCode::Mux, N>,     &runWide<W, OpCode::Maj, N>,                             \
-     &runWide<W, OpCode::Xor3, N>,    &runWide<W, OpCode::MuxNotA, N>,                         \
-     &runWide<W, OpCode::MuxNotB, N>, &runWide<W, OpCode::HalfAdd, N>,                         \
-     &runWide<W, OpCode::And3, N>,    &runWide<W, OpCode::Or3, N>}
-
-#define AXF_CHAIN_ROW(W)                                                                       \
-    {&chainWide<W, OpCode::Buf>,     &chainWide<W, OpCode::Not>,                               \
-     &chainWide<W, OpCode::And>,     &chainWide<W, OpCode::Or>,                                \
-     &chainWide<W, OpCode::Xor>,     &chainWide<W, OpCode::Nand>,                              \
-     &chainWide<W, OpCode::Nor>,     &chainWide<W, OpCode::Xnor>,                              \
-     &chainWide<W, OpCode::AndNot>,  &chainWide<W, OpCode::OrNot>,                             \
-     &chainWide<W, OpCode::Mux>,     &chainWide<W, OpCode::Maj>,                               \
-     &chainWide<W, OpCode::Xor3>,    &chainWide<W, OpCode::MuxNotA>,                           \
-     &chainWide<W, OpCode::MuxNotB>, &chainWide<W, OpCode::HalfAdd>,                           \
-     &chainWide<W, OpCode::And3>,    &chainWide<W, OpCode::Or3>}
-
-template <std::size_t W>
-constexpr std::array<std::array<KernelFn, kMaxUnroll>, kOpCount> makeUnrolled() {
-    constexpr std::array<std::array<KernelFn, kOpCount>, kMaxUnroll> byCount = {
-        {AXF_KERNEL_ROW(W, 1), AXF_KERNEL_ROW(W, 2), AXF_KERNEL_ROW(W, 3),
-         AXF_KERNEL_ROW(W, 4)}};
-    static_assert(kMaxUnroll == 4, "extend the unrolled-kernel rows");
-    std::array<std::array<KernelFn, kMaxUnroll>, kOpCount> t{};
-    for (std::size_t op = 0; op < kOpCount; ++op)
-        for (std::size_t n = 0; n < kMaxUnroll; ++n) t[op][n] = byCount[n][op];
-    return t;
-}
 
 /// One masked broadcast-add per (bit, 32-lane group): twice the lanes per
 /// add of the 32-bit decode, valid for bits <= 16.  Tiled in 256-lane
@@ -241,22 +69,17 @@ void decode32Avx512(const Word* planes, std::size_t bits, std::uint32_t* out) {
     }
 }
 
+/// The generic run kernels at width W with the AVX-512BW decoders.
 template <std::size_t W>
 constexpr WidthTables makeWidthTables() {
-    return WidthTables{AXF_KERNEL_ROW(W, -1), makeUnrolled<W>(), AXF_CHAIN_ROW(W),
-                       &decode16Avx512<W>, &decode32Avx512<W>};
+    return WidthTables{kGenericWideTables[widthIndex(W)].run, &decode16Avx512<W>,
+                       &decode32Avx512<W>};
 }
-
-#undef AXF_KERNEL_ROW
-#undef AXF_CHAIN_ROW
 
 constexpr std::array<WidthTables, kWidthCount> kWideTables = {
     makeWidthTables<4>(), makeWidthTables<8>(), makeWidthTables<16>()};
 
-static_assert(tablesComplete(kWideTables),
-              "avx512 kernel table rows do not cover every opcode");
-
-constexpr Backend kBackend = {"avx512", kWideTables, kGenericNarrow, kGenericNarrowChained};
+constexpr Backend kBackend = {"avx512", kWideTables, kGenericNarrow};
 
 }  // namespace avx512_impl
 

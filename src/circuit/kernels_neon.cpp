@@ -14,7 +14,7 @@ namespace neon_impl {
 
 #include "src/circuit/kernels_generic.inc"
 
-constexpr Backend kBackend = {"neon", kGenericWideTables, kGenericNarrow, kGenericNarrowChained};
+constexpr Backend kBackend = {"neon", kGenericWideTables, kGenericNarrow};
 
 }  // namespace neon_impl
 

@@ -11,8 +11,7 @@ namespace portable_impl {
 
 #include "src/circuit/kernels_generic.inc"
 
-constexpr Backend kBackend = {"portable", kGenericWideTables, kGenericNarrow,
-                              kGenericNarrowChained};
+constexpr Backend kBackend = {"portable", kGenericWideTables, kGenericNarrow};
 
 }  // namespace portable_impl
 

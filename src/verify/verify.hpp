@@ -64,14 +64,14 @@ struct ProgramView {
 /// every operand plane defined before use (CP002) and written exactly once
 /// (CP003 — with single assignment, plane lifetimes can never clobber live
 /// values), slot ranges (CP001), the schedule's run partition and opcode
-/// grouping (CP004), every chained-run link (CP005), interface shape
-/// (CP008) and output definedness (CP007).  Given the source netlist, the
-/// fusion-semantics pass (CP006) additionally proves each instruction —
-/// fused or not — computes exactly the composition of the source gates it
-/// replaced: it enumerates all assignments of the operand planes' source
-/// nodes and compares `kernels::opEval` against a memoized `gateEval` cone
-/// walk, covering Xor3/HalfAdd/MuxNot*/And3/Or3 and, transitively, the
-/// ternlog immediates derived from the same tables.
+/// grouping (CP004), interface shape (CP008) and output definedness
+/// (CP007).  Given the source netlist, the fusion-semantics pass (CP006)
+/// additionally proves each instruction — fused or not — computes exactly
+/// the composition of the source gates it replaced: it enumerates all
+/// assignments of the operand planes' source nodes and compares
+/// `kernels::opEval` against a memoized `gateEval` cone walk, covering
+/// Xor3/HalfAdd/MuxNot*/And3/Or3 and, transitively, the kernel bodies
+/// static_asserted against the same tables.
 Diagnostics verifyProgram(const ProgramView& program,
                           const circuit::Netlist* source = nullptr,
                           const VerifyOptions& options = {});

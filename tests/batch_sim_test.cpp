@@ -140,13 +140,12 @@ TEST(BatchSimulator, ShapeChecks) {
 
 TEST(FillExhaustiveBlock, W1AndW4AgainstScalarBitReference) {
     // Scalar reference: bit `bit` of lane L must equal bit `bit` of the
-    // enumerated index (base + L).  Checked for W=1 (no word-index bits)
-    // and W=4 (pattern bits 0..5, word-index bits 6..7, base bits 8+) over
-    // every bit class and several bases.
-    const auto check = [](auto widthTag, int totalBits, std::uint64_t base) {
-        constexpr std::size_t W = decltype(widthTag)::value;
+    // enumerated index (base + L).  Checked at W = 1 (no word-index bits)
+    // and every wide width (pattern bits 0..5, word-index bits 6.., base
+    // bits above) over every bit class and several bases.
+    const auto check = [](std::size_t W, int totalBits, std::uint64_t base) {
         std::vector<CompiledNetlist::Word> in(static_cast<std::size_t>(totalBits) * W);
-        fillExhaustiveBlock<W>(in, totalBits, base);
+        fillExhaustiveBlock(in, totalBits, base, W);
         for (std::uint64_t lane = 0; lane < W * 64; ++lane) {
             const std::uint64_t index = base + lane;
             for (int bit = 0; bit < totalBits; ++bit) {
@@ -157,13 +156,10 @@ TEST(FillExhaustiveBlock, W1AndW4AgainstScalarBitReference) {
             }
         }
     };
-    for (const std::uint64_t base : {0ull, 256ull, 1536ull, 65280ull}) {
-        check(std::integral_constant<std::size_t, 4>{}, 16, base);
-        check(std::integral_constant<std::size_t, 4>{}, 10, base);
-    }
-    for (const std::uint64_t base : {0ull, 64ull, 960ull}) {
-        check(std::integral_constant<std::size_t, 1>{}, 10, base);
-        check(std::integral_constant<std::size_t, 1>{}, 7, base);
+    for (const std::size_t W : {std::size_t{1}, std::size_t{4}, std::size_t{8}, std::size_t{16}}) {
+        const std::uint64_t lanes = W * 64;
+        for (const std::uint64_t base : {std::uint64_t{0}, lanes, 6 * lanes, 65536 - lanes})
+            for (const int totalBits : {16, 10, 7}) check(W, totalBits, base);
     }
 }
 
@@ -197,17 +193,18 @@ TEST(CompiledNetlist, RunW1MatchesWideRunOnRandomNetlists) {
 }
 
 TEST(FillExhaustiveBlock, LaneCarriesItsIndex) {
-    constexpr std::size_t W = kernels::kBaseWideWords;
-    const int totalBits = 10;
-    std::vector<CompiledNetlist::Word> in(static_cast<std::size_t>(totalBits) * W);
-    const std::uint64_t base = 512;  // multiple of 256
-    fillExhaustiveBlock<W>(in, totalBits, base);
-    for (std::uint64_t lane = 0; lane < W * 64; ++lane) {
-        std::uint64_t value = 0;
-        for (int bit = 0; bit < totalBits; ++bit)
-            if ((in[static_cast<std::size_t>(bit) * W + lane / 64] >> (lane % 64)) & 1u)
-                value |= std::uint64_t{1} << bit;
-        ASSERT_EQ(value, base + lane);
+    const int totalBits = 12;
+    const std::uint64_t base = 2048;  // a multiple of every block's lane count
+    for (const std::size_t W : {std::size_t{1}, std::size_t{4}, std::size_t{8}, std::size_t{16}}) {
+        std::vector<CompiledNetlist::Word> in(static_cast<std::size_t>(totalBits) * W);
+        fillExhaustiveBlock(in, totalBits, base, W);
+        for (std::uint64_t lane = 0; lane < W * 64; ++lane) {
+            std::uint64_t value = 0;
+            for (int bit = 0; bit < totalBits; ++bit)
+                if ((in[static_cast<std::size_t>(bit) * W + lane / 64] >> (lane % 64)) & 1u)
+                    value |= std::uint64_t{1} << bit;
+            ASSERT_EQ(value, base + lane) << "W=" << W;
+        }
     }
 }
 

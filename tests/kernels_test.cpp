@@ -230,25 +230,6 @@ TEST(KernelFusion, GeneratorCircuitsShrink) {
     crossCheck(net, unfused);
 }
 
-TEST(KernelFusion, SpecializedPlanBitIdentical) {
-    const Netlist net = gen::wallaceMultiplier(16);  // above the auto threshold
-    const CompiledNetlist generic = CompiledNetlist::compile(net);
-    ASSERT_FALSE(generic.specialized());
-    CompiledNetlist forced = CompiledNetlist::compile(net);
-    forced.specialize();
-    ASSERT_TRUE(forced.specialized());
-    BatchSimulator a(generic), b(forced);
-    ASSERT_EQ(generic.blockWords(), forced.blockWords());
-    const std::size_t W = generic.blockWords();
-    std::vector<CompiledNetlist::Word> in(net.inputCount() * W);
-    util::Rng rng(0x77);
-    for (auto& w : in) w = rng.uniformInt(0, ~std::uint64_t{0});
-    std::vector<CompiledNetlist::Word> outA(net.outputCount() * W), outB(outA.size());
-    a.evaluate(in, outA);
-    b.evaluate(in, outB);
-    EXPECT_EQ(outA, outB);
-}
-
 TEST(KernelBackends, ErrorReportsBitIdenticalAcrossBackends) {
     const Netlist mul = gen::truncatedMultiplier(8, 4);
     const auto mulSig = gen::multiplierSignature(8);
