@@ -54,29 +54,24 @@ static void BM_BatchSimulatorSweep(benchmark::State& state) {
     const circuit::Netlist net = gen::wallaceMultiplier(static_cast<int>(state.range(0)));
     const circuit::CompiledNetlist compiled = circuit::CompiledNetlist::compile(net);
     circuit::BatchSimulator sim(compiled);
-    const std::size_t W = sim.blockWords();  // the program's auto-chosen width
-    std::vector<std::uint64_t> in(net.inputCount() * W, 0x0123456789ABCDEFull);
-    std::vector<std::uint64_t> out(net.outputCount() * W);
+    std::vector<std::uint64_t> in(net.inputCount() * circuit::kBlockWords, 0x0123456789ABCDEFull);
+    std::vector<std::uint64_t> out(net.outputCount() * circuit::kBlockWords);
     for (auto _ : state) {
         sim.evaluate(in, out);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(sim.blockLanes()));
+                            static_cast<std::int64_t>(circuit::kBlockLanes));
 }
 BENCHMARK(BM_BatchSimulatorSweep)->Arg(8)->Arg(16);
 
-/// Exhaustive-sweep throughput per block width: Arg(0) = multiplier bits
-/// (8 -> the full 16-bit space cycles, 16 -> sequential blocks of the
-/// 32-bit space), Arg(1) = forced blockWords (4 / 8 / 16).  The W=4 rows
-/// are the pre-width-set engine shape; the committed baseline pins the
-/// W=4-vs-best-W ratio per host.  items_per_second = vectors/sec.
-static void BM_SweepWidth(benchmark::State& state) {
+/// Exhaustive-sweep throughput: Arg(0) = multiplier bits (8 -> the full
+/// 16-bit space cycles, 16 -> sequential blocks of the 32-bit space).
+/// items_per_second = vectors/sec.
+static void BM_Sweep(benchmark::State& state) {
     const circuit::Netlist net = gen::wallaceMultiplier(static_cast<int>(state.range(0)));
-    const std::size_t words = static_cast<std::size_t>(state.range(1));
-    circuit::CompiledNetlist::Options options;
-    options.blockWords = words;
-    const circuit::CompiledNetlist compiled = circuit::CompiledNetlist::compile(net, options);
+    constexpr std::size_t words = circuit::kBlockWords;
+    const circuit::CompiledNetlist compiled = circuit::CompiledNetlist::compile(net);
     circuit::BatchSimulator sim(compiled);
     const int totalBits = static_cast<int>(net.inputCount());
     const std::uint64_t space = std::uint64_t{1} << totalBits;
@@ -87,19 +82,13 @@ static void BM_SweepWidth(benchmark::State& state) {
         circuit::fillExhaustiveBlock(in, totalBits, base, words);
         sim.evaluate(in, out);
         benchmark::DoNotOptimize(out.data());
-        base += sim.blockLanes();
+        base += circuit::kBlockLanes;
         if (base >= space) base = 0;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(sim.blockLanes()));
+                            static_cast<std::int64_t>(circuit::kBlockLanes));
 }
-BENCHMARK(BM_SweepWidth)
-    ->Args({8, 4})
-    ->Args({8, 8})
-    ->Args({8, 16})
-    ->Args({16, 4})
-    ->Args({16, 8})
-    ->Args({16, 16});
+BENCHMARK(BM_Sweep)->Arg(8)->Arg(16);
 
 static void BM_ExhaustiveError8x8_SeedBaseline(benchmark::State& state) {
     const circuit::Netlist net = gen::truncatedMultiplier(8, 4);
@@ -153,9 +142,9 @@ BENCHMARK(BM_SampledError16Bit);
 
 /// Exhaustive stuck-at campaign over the complete fault list of an 8x8
 /// multiplier (Arg(0) = exact Wallace, Arg(t) = truncated-t): the batched
-/// engine retires many faults per block pass (at the program's chosen
-/// width) by replaying only each fault's downstream cone; the sampled
-/// path additionally packs blockWords-1 faults per pass as lane groups.
+/// engine retires many faults per block pass by replaying only each
+/// fault's downstream cone; the sampled path additionally packs 15 faults
+/// per pass as lane groups.
 /// items_per_second = faults retired/sec.
 static void BM_FaultSweep(benchmark::State& state) {
     const circuit::Netlist net = state.range(0) == 0
@@ -405,10 +394,10 @@ double bestOf(Fn fn, int reps) {
 void printCompiledStats(const circuit::Netlist& net) {
     const circuit::CompiledNetlist::Stats s = circuit::CompiledNetlist::compile(net).stats();
     std::printf(
-        "compiled %-14s backend=%-8s W=%-2zu %3zu gates -> %3zu instrs (%zu fused ops, %zu "
+        "compiled %-14s backend=%-8s %3zu gates -> %3zu instrs (%zu fused ops, %zu "
         "gates folded), %zu runs (longest %zu)\n",
-        net.name().c_str(), s.backend, s.blockWords, net.gateCount(), s.instructions,
-        s.fusedOps, s.gatesFused, s.runs, s.longestRun);
+        net.name().c_str(), s.backend, net.gateCount(), s.instructions, s.fusedOps,
+        s.gatesFused, s.runs, s.longestRun);
 }
 
 void printSpeedupSummary() {

@@ -13,17 +13,9 @@ namespace axf::autoax {
 
 using circuit::BatchSimulator;
 using circuit::CompiledNetlist;
+using circuit::kBlockLanes;
+using circuit::kBlockWords;
 using Word = CompiledNetlist::Word;
-
-namespace {
-
-/// Pixel-loop tile and buffer sizing: the widest block any bound program
-/// can choose.  `batchAdd16Wide` re-tiles internally to each simulator's
-/// own width, so the lane arrays stay width-agnostic.
-constexpr std::size_t kMaxWords = BatchSimulator::kMaxWordsPerBlock;
-constexpr std::size_t kMaxLanes = BatchSimulator::kMaxLanesPerBlock;
-
-}  // namespace
 
 const std::array<int, 9>& GaussianAccelerator::kernelWeights() {
     static const std::array<int, 9> kWeights = {1, 2, 1, 2, 4, 2, 1, 2, 1};
@@ -61,10 +53,9 @@ GaussianAccelerator::GaussianAccelerator(std::vector<Component> multiplierMenu,
 
 std::vector<std::uint16_t> GaussianAccelerator::buildTable(const Component& component,
                                                            cache::CharacterizationCache* cache) {
-    // Exhaustive 8x8 behavioural table swept at the compiled program's
-    // chosen block width; the result is a pure function of the netlist, so
-    // it is content-addressed in the characterization cache (little-endian
-    // u16 blob, 128 KiB).
+    // Exhaustive 8x8 behavioural table swept block by block; the result is
+    // a pure function of the netlist, so it is content-addressed in the
+    // characterization cache (little-endian u16 blob, 128 KiB).
     constexpr std::string_view kTableTag = "multtable16.v1";
     const cache::CacheKey key = cache != nullptr
                                     ? cache::CharacterizationCache::blobKey(
@@ -82,16 +73,14 @@ std::vector<std::uint16_t> GaussianAccelerator::buildTable(const Component& comp
     std::vector<std::uint16_t> table(1u << 16);
     const CompiledNetlist compiled = CompiledNetlist::compile(component.netlist);
     BatchSimulator sim(compiled);
-    const std::size_t words = sim.blockWords();
-    const std::size_t blockLanes = sim.blockLanes();
-    std::vector<Word> in(16 * words), out(compiled.outputCount() * words);
-    for (std::uint64_t base = 0; base < (1u << 16); base += blockLanes) {
-        circuit::fillExhaustiveBlock(in, 16, base, words);
+    std::vector<Word> in(16 * kBlockWords), out(compiled.outputCount() * kBlockWords);
+    for (std::uint64_t base = 0; base < (1u << 16); base += kBlockLanes) {
+        circuit::fillExhaustiveBlock(in, 16, base, kBlockWords);
         sim.evaluate(in, out);
-        for (std::size_t lane = 0; lane < blockLanes; ++lane) {
+        for (std::size_t lane = 0; lane < kBlockLanes; ++lane) {
             std::uint32_t value = 0;
-            for (std::size_t bit = 0; bit < out.size() / words && bit < 16; ++bit)
-                value |= static_cast<std::uint32_t>((out[bit * words + lane / 64] >>
+            for (std::size_t bit = 0; bit < out.size() / kBlockWords && bit < 16; ++bit)
+                value |= static_cast<std::uint32_t>((out[bit * kBlockWords + lane / 64] >>
                                                      (lane % 64)) &
                                                     1u)
                          << bit;
@@ -121,7 +110,7 @@ struct GaussianAccelerator::WorkspaceImpl : AcceleratorModel::Workspace {
 
 std::unique_ptr<AcceleratorModel::Workspace> GaussianAccelerator::makeWorkspace() const {
     auto ws = std::make_unique<WorkspaceImpl>();
-    ws->inWords.resize(32 * kMaxWords);
+    ws->inWords.resize(32 * kBlockWords);
     return ws;
 }
 
@@ -143,17 +132,17 @@ img::Image GaussianAccelerator::filter(const img::Image& input, const Accelerato
         else
             ws.sims[static_cast<std::size_t>(node)].rebind(compiled);
     }
-    if (ws.outWords.size() < maxOutputs * kMaxWords) ws.outWords.resize(maxOutputs * kMaxWords);
+    if (ws.outWords.size() < maxOutputs * kBlockWords) ws.outWords.resize(maxOutputs * kBlockWords);
 
     const std::array<int, 9>& weights = kernelWeights();
     img::Image output(input.width(), input.height());
     const std::size_t total = input.pixelCount();
 
-    std::array<std::array<std::uint32_t, kMaxLanes>, 9> products{};
-    std::array<std::uint32_t, kMaxLanes> l1a{}, l1b{}, l1c{}, l1d{}, l2a{}, l2b{}, l3{}, sum{};
+    std::array<std::array<std::uint32_t, kBlockLanes>, 9> products{};
+    std::array<std::uint32_t, kBlockLanes> l1a{}, l1b{}, l1c{}, l1d{}, l2a{}, l2b{}, l3{}, sum{};
 
-    for (std::size_t base = 0; base < total; base += kMaxLanes) {
-        const std::size_t lanes = std::min<std::size_t>(kMaxLanes, total - base);
+    for (std::size_t base = 0; base < total; base += kBlockLanes) {
+        const std::size_t lanes = std::min<std::size_t>(kBlockLanes, total - base);
         for (std::size_t lane = 0; lane < lanes; ++lane) {
             const std::size_t pixel = base + lane;
             const int x = static_cast<int>(pixel % static_cast<std::size_t>(input.width()));
@@ -171,9 +160,9 @@ img::Image GaussianAccelerator::filter(const img::Image& input, const Accelerato
                 }
             }
         }
-        const auto add = [&](int node, const std::array<std::uint32_t, kMaxLanes>& a,
-                             const std::array<std::uint32_t, kMaxLanes>& b,
-                             std::array<std::uint32_t, kMaxLanes>& out) {
+        const auto add = [&](int node, const std::array<std::uint32_t, kBlockLanes>& a,
+                             const std::array<std::uint32_t, kBlockLanes>& b,
+                             std::array<std::uint32_t, kBlockLanes>& out) {
             BatchSimulator& sim = ws.sims[static_cast<std::size_t>(node)];
             batchAdd16Wide(sim, a.data(), b.data(), out.data(), lanes, ws.inWords,
                            ws.outWords);

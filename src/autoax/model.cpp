@@ -12,7 +12,6 @@ namespace axf::autoax {
 
 using circuit::BatchSimulator;
 using circuit::CompiledNetlist;
-using circuit::Simulator;
 using Word = CompiledNetlist::Word;
 
 
@@ -124,48 +123,16 @@ double AcceleratorModel::quality(const AcceleratorConfig& config,
     return acc / static_cast<double>(scenes.size());
 }
 
-void batchAdd16(Simulator& sim, std::span<const std::uint32_t> a,
-                std::span<const std::uint32_t> b, std::span<std::uint32_t> out,
-                BatchAddScratch& scratch) {
-    if (a.size() > 64 || b.size() != a.size() || out.size() != a.size())
-        throw std::invalid_argument(
-            "batchAdd16: operand/result spans must agree and hold at most 64 lanes");
-    scratch.in.assign(32, 0);
-    for (std::size_t lane = 0; lane < a.size(); ++lane) {
-        for (int bit = 0; bit < 16; ++bit) {
-            if ((a[lane] >> bit) & 1u) scratch.in[static_cast<std::size_t>(bit)] |= std::uint64_t{1} << lane;
-            if ((b[lane] >> bit) & 1u)
-                scratch.in[static_cast<std::size_t>(16 + bit)] |= std::uint64_t{1} << lane;
-        }
-    }
-    scratch.out.resize(sim.netlist().outputCount());
-    sim.evaluate(scratch.in, scratch.out);
-    for (std::size_t lane = 0; lane < a.size(); ++lane) {
-        std::uint32_t v = 0;
-        for (std::size_t bit = 0; bit < scratch.out.size(); ++bit)
-            v |= static_cast<std::uint32_t>((scratch.out[bit] >> lane) & 1u) << bit;
-        out[lane] = v;
-    }
-}
-
-void batchAdd16(Simulator& sim, std::span<const std::uint32_t> a,
-                std::span<const std::uint32_t> b, std::span<std::uint32_t> out) {
-    BatchAddScratch scratch;
-    batchAdd16(sim, a, b, out, scratch);
-}
-
 void batchAdd16Wide(BatchSimulator& sim, const std::uint32_t* a, const std::uint32_t* b,
                     std::uint32_t* out, std::size_t lanes, std::span<Word> inWords,
                     std::span<Word> outWords) {
-    // Loop over the simulator's own block width: callers may tile their
-    // lane arrays at any granularity (typically kMaxLanesPerBlock), and
-    // each bound program carries its own chosen width.  Pure integer
-    // bit-sliced evaluation — results are independent of the tiling.
-    const std::size_t words = sim.blockWords();
-    const std::size_t blockLanes = sim.blockLanes();
+    // Callers may tile their lane arrays at any granularity (typically one
+    // block).  Pure integer bit-sliced evaluation — results are independent
+    // of the tiling.
+    constexpr std::size_t words = circuit::kBlockWords;
     const std::size_t outputs = sim.compiled().outputCount();
-    for (std::size_t blockBase = 0; blockBase < lanes; blockBase += blockLanes) {
-        const std::size_t blockCount = std::min(blockLanes, lanes - blockBase);
+    for (std::size_t blockBase = 0; blockBase < lanes; blockBase += circuit::kBlockLanes) {
+        const std::size_t blockCount = std::min(circuit::kBlockLanes, lanes - blockBase);
         std::memset(inWords.data(), 0, 32 * words * sizeof(Word));
         for (std::size_t lane = 0; lane < blockCount; ++lane) {
             const Word laneBit = Word{1} << (lane % 64);

@@ -9,7 +9,6 @@
 #include "src/circuit/arith.hpp"
 #include "src/circuit/batch_sim.hpp"
 #include "src/circuit/netlist.hpp"
-#include "src/circuit/simulator.hpp"
 #include "src/core/dataset.hpp"
 #include "src/core/flow.hpp"
 #include "src/error/error_metrics.hpp"
@@ -142,32 +141,12 @@ public:
     double designSpaceSize() const { return configSpace().designSpaceSize(); }
 };
 
-/// Caller-owned scratch for `batchAdd16`: holding it across calls removes
-/// every per-call heap allocation from the hot loop.
-struct BatchAddScratch {
-    std::vector<std::uint64_t> in;
-    std::vector<std::uint64_t> out;
-};
-
-/// Applies a 16-bit adder netlist (via its simulator) to up to 64 operand
-/// pairs bit-parallel.  Shared by the accelerator behavioural models and
-/// reusable for custom accelerators.
-void batchAdd16(circuit::Simulator& sim, std::span<const std::uint32_t> a,
-                std::span<const std::uint32_t> b, std::span<std::uint32_t> out,
-                BatchAddScratch& scratch);
-
-/// Convenience overload with call-local scratch (allocates; prefer the
-/// scratch variant in loops).
-void batchAdd16(circuit::Simulator& sim, std::span<const std::uint32_t> a,
-                std::span<const std::uint32_t> b, std::span<std::uint32_t> out);
-
-/// Wide batchAdd16: any number of operand pairs on the compiled engine,
-/// swept internally in blocks of the simulator's own `blockLanes()` (256 /
-/// 512 / 1024 following the bound program's chosen width).  `inWords` /
-/// `outWords` are caller-owned blocks of at least 32 * blockWords() and
-/// outputCount * blockWords() words — size them with
-/// `BatchSimulator::kMaxWordsPerBlock` so rebinding to a wider program
-/// stays in bounds; nothing allocates.  Operands truncate to the adder's
+/// Applies a 16-bit adder (via its bound simulator) to any number of
+/// operand pairs on the compiled engine, swept internally in blocks of
+/// `circuit::kBlockLanes`.  Shared by the accelerator behavioural models
+/// and reusable for custom accelerators.  `inWords` / `outWords` are
+/// caller-owned blocks of at least 32 * kBlockWords and outputCount *
+/// kBlockWords words; nothing allocates.  Operands truncate to the adder's
 /// 16-bit interface (inputs may carry a previous level's carry-out in
 /// bit 16).
 void batchAdd16Wide(circuit::BatchSimulator& sim, const std::uint32_t* a,

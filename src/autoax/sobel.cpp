@@ -13,15 +13,11 @@ namespace axf::autoax {
 
 using circuit::BatchSimulator;
 using circuit::CompiledNetlist;
+using circuit::kBlockLanes;
+using circuit::kBlockWords;
 using Word = CompiledNetlist::Word;
 
 namespace {
-
-/// Pixel-loop tile and buffer sizing: the widest block any bound program
-/// can choose.  `batchAdd16Wide` re-tiles internally to each simulator's
-/// own width, so the lane arrays stay width-agnostic.
-constexpr std::size_t kMaxWords = BatchSimulator::kMaxWordsPerBlock;
-constexpr std::size_t kMaxLanes = BatchSimulator::kMaxLanesPerBlock;
 
 /// Bias keeping both gradient operands non-negative on the unsigned adder
 /// interface: |column/row sums| <= 1020 < 4096, and the biased operand
@@ -54,7 +50,7 @@ struct SobelAccelerator::WorkspaceImpl : AcceleratorModel::Workspace {
 
 std::unique_ptr<AcceleratorModel::Workspace> SobelAccelerator::makeWorkspace() const {
     auto ws = std::make_unique<WorkspaceImpl>();
-    ws->inWords.resize(32 * kMaxWords);
+    ws->inWords.resize(32 * kBlockWords);
     return ws;
 }
 
@@ -73,22 +69,22 @@ img::Image SobelAccelerator::filter(const img::Image& input, const AcceleratorCo
         else
             ws.sims[static_cast<std::size_t>(slot)].rebind(compiled);
     }
-    if (ws.outWords.size() < maxOutputs * kMaxWords) ws.outWords.resize(maxOutputs * kMaxWords);
+    if (ws.outWords.size() < maxOutputs * kBlockWords) ws.outWords.resize(maxOutputs * kBlockWords);
 
     img::Image output(input.width(), input.height());
     const std::size_t total = input.pixelCount();
 
-    std::array<std::uint32_t, kMaxLanes> ax{}, bx{}, gx{}, ay{}, by{}, gy{}, adx{}, ady{}, mag{};
-    const auto add = [&](int slot, const std::array<std::uint32_t, kMaxLanes>& a,
-                         const std::array<std::uint32_t, kMaxLanes>& b,
-                         std::array<std::uint32_t, kMaxLanes>& out, std::size_t lanes) {
+    std::array<std::uint32_t, kBlockLanes> ax{}, bx{}, gx{}, ay{}, by{}, gy{}, adx{}, ady{}, mag{};
+    const auto add = [&](int slot, const std::array<std::uint32_t, kBlockLanes>& a,
+                         const std::array<std::uint32_t, kBlockLanes>& b,
+                         std::array<std::uint32_t, kBlockLanes>& out, std::size_t lanes) {
         BatchSimulator& sim = ws.sims[static_cast<std::size_t>(slot)];
         batchAdd16Wide(sim, a.data(), b.data(), out.data(), lanes, ws.inWords,
                        ws.outWords);
     };
 
-    for (std::size_t base = 0; base < total; base += kMaxLanes) {
-        const std::size_t lanes = std::min<std::size_t>(kMaxLanes, total - base);
+    for (std::size_t base = 0; base < total; base += kBlockLanes) {
+        const std::size_t lanes = std::min<std::size_t>(kBlockLanes, total - base);
         for (std::size_t lane = 0; lane < lanes; ++lane) {
             const std::size_t pixel = base + lane;
             const int x = static_cast<int>(pixel % static_cast<std::size_t>(input.width()));

@@ -283,36 +283,6 @@ void fusePeephole(const Netlist& netlist, std::vector<NodeOp>& ops,
     }
 }
 
-/// Picks the block width for a freshly compiled program.  Priority:
-/// explicit `Options::blockWords`, `kernels::ScopedWidthOverride`,
-/// `AXF_FORCE_WIDTH`, then a workspace-footprint heuristic: take the
-/// widest width whose workspace still fits the fast cache levels.  Wider
-/// blocks amortize per-run dispatch (fn-pointer calls, run walking,
-/// decode/accumulate boundaries) over 2-4x the lanes but multiply the
-/// working set by the same factor — so a program whose W = 16 workspace
-/// fits comfortably in L1 takes 1024 lanes per sweep, a mid-size one
-/// settles for 512 while the W = 8 workspace still fits the L2 slice, and
-/// a large one stays at the 256-lane baseline.  The choice never affects
-/// results (bit-identical across the width set), only execution shape.
-std::size_t chooseBlockWords(std::size_t requested, std::size_t slots) {
-    if (requested != 0) {
-        if (!kernels::isWideWidth(requested))
-            throw std::invalid_argument(
-                "CompiledNetlist: Options::blockWords must be 0, 4, 8 or 16");
-        return requested;
-    }
-    if (const std::size_t words = kernels::widthOverride(); words != 0) return words;
-    if (const std::size_t words = kernels::forcedWidth(); words != 0) return words;
-    constexpr std::size_t kL1Budget = 32u << 10;
-    constexpr std::size_t kL2Budget = 768u << 10;
-    const auto bytesAt = [slots](std::size_t words) {
-        return slots * words * sizeof(CompiledNetlist::Word);
-    };
-    if (bytesAt(16) <= kL1Budget) return 16;
-    if (bytesAt(8) <= kL2Budget) return 8;
-    return kernels::kBaseWideWords;
-}
-
 }  // namespace
 
 CompiledNetlist CompiledNetlist::compile(const Netlist& netlist, Options options) {
@@ -558,8 +528,6 @@ CompiledNetlist CompiledNetlist::compile(const Netlist& netlist, Options options
     compiled.outputSlots_.reserve(netlist.outputCount());
     for (NodeId out : netlist.outputs()) compiled.outputSlots_.push_back(slotOf[out]);
 
-    compiled.blockWords_ = chooseBlockWords(options.blockWords, compiled.slotCount_);
-
     // AXF_VERIFY debug gate: self-verify every compiled program against
     // the source netlist (dataflow discipline, schedule claims, fusion
     // semantics) before handing it out.
@@ -578,7 +546,6 @@ CompiledNetlist::Stats CompiledNetlist::stats() const {
     s.fusedOps = fusedOps_;
     s.gatesFused = gatesFused_;
     s.backend = backend_ != nullptr ? backend_->name : "";
-    s.blockWords = blockWords_;
     return s;
 }
 
@@ -597,22 +564,22 @@ namespace {
 template <std::size_t W>
 const std::array<kernels::KernelFn, kernels::kOpCount>& runKernels(
     const kernels::Backend& backend) {
+    static_assert(W == 1 || W == kBlockWords,
+                  "kernel tables exist for W = 1 and W = kBlockWords only");
     if constexpr (W == 1)
         return backend.narrow;
     else
-        return backend.at(W).run;
+        return backend.wide.run;
 }
 
 }  // namespace
 
 template <std::size_t W>
 void CompiledNetlist::run(const Word* inputs, Word* outputs, Word* ws) const {
-    static_assert(W == 1 || kernels::isWideWidth(W),
-                  "kernel tables exist for W = 1 and the wide width set only");
     // The input/output block copies go through memcpy: caller buffers are
     // plain vectors with no alignment contract, and the compiler inlines
     // these to unaligned vector moves anyway.  The workspace itself must
-    // satisfy the slot alignment (W * 8 bytes for the wide configurations;
+    // satisfy the slot alignment (W * 8 bytes for the wide configuration;
     // BatchSimulator 128-byte-aligns it) because the kernels use whole-slot
     // vector accesses.
     const std::uint32_t* inSlots = inputSlots_.data();
@@ -632,9 +599,7 @@ void CompiledNetlist::run(const Word* inputs, Word* outputs, Word* ws) const {
 }
 
 template void CompiledNetlist::run<1>(const Word*, Word*, Word*) const;
-template void CompiledNetlist::run<4>(const Word*, Word*, Word*) const;
-template void CompiledNetlist::run<8>(const Word*, Word*, Word*) const;
-template void CompiledNetlist::run<16>(const Word*, Word*, Word*) const;
+template void CompiledNetlist::run<kBlockWords>(const Word*, Word*, Word*) const;
 
 namespace {
 
@@ -649,8 +614,6 @@ void applyFault(CompiledNetlist::Word* ws, const CompiledNetlist::InjectedFault&
 template <std::size_t W>
 void CompiledNetlist::runWithFaults(const Word* inputs, Word* outputs, Word* ws,
                                     std::span<const InjectedFault> faults) const {
-    static_assert(W == 1 || kernels::isWideWidth(W),
-                  "kernel tables exist for W = 1 and the wide width set only");
     const std::uint32_t* inSlots = inputSlots_.data();
     for (std::size_t i = 0; i < inputSlots_.size(); ++i)
         std::memcpy(ws + static_cast<std::size_t>(inSlots[i]) * W, inputs + i * W,
@@ -686,36 +649,26 @@ void CompiledNetlist::runWithFaults(const Word* inputs, Word* outputs, Word* ws,
 
 template void CompiledNetlist::runWithFaults<1>(const Word*, Word*, Word*,
                                                 std::span<const InjectedFault>) const;
-template void CompiledNetlist::runWithFaults<4>(const Word*, Word*, Word*,
-                                                std::span<const InjectedFault>) const;
-template void CompiledNetlist::runWithFaults<8>(const Word*, Word*, Word*,
-                                                std::span<const InjectedFault>) const;
-template void CompiledNetlist::runWithFaults<16>(const Word*, Word*, Word*,
-                                                 std::span<const InjectedFault>) const;
+template void CompiledNetlist::runWithFaults<kBlockWords>(const Word*, Word*, Word*,
+                                                          std::span<const InjectedFault>) const;
 
 void BatchSimulator::rebind(const CompiledNetlist& compiled) {
     if (compiled_ == &compiled) return;  // constants already in place
     compiled_ = &compiled;
-    const std::size_t words = compiled.blockWords();
-    const std::size_t needed = compiled.workspaceWords(words) + kAlignWords;
+    const std::size_t needed = compiled.workspaceWords(kBlockWords) + kAlignWords;
     if (storage_.size() < needed) storage_.assign(needed, 0);
     const std::size_t misalign =
         reinterpret_cast<std::uintptr_t>(storage_.data()) % (kAlignWords * sizeof(Word));
     workspace_ = storage_.data() + (misalign ? kAlignWords - misalign / sizeof(Word) : 0);
-    compiled.initWorkspace({workspace_, compiled.workspaceWords(words)}, words);
+    compiled.initWorkspace({workspace_, compiled.workspaceWords(kBlockWords)}, kBlockWords);
 }
 
 void BatchSimulator::evaluate(std::span<const Word> inputWords, std::span<Word> outputWords) {
-    const std::size_t words = compiled_->blockWords();
-    if (inputWords.size() != compiled_->inputCount() * words)
+    if (inputWords.size() != compiled_->inputCount() * kBlockWords)
         throw std::invalid_argument("BatchSimulator: input word count mismatch");
-    if (outputWords.size() != compiled_->outputCount() * words)
+    if (outputWords.size() != compiled_->outputCount() * kBlockWords)
         throw std::invalid_argument("BatchSimulator: output word count mismatch");
-    switch (words) {
-        case 4: compiled_->run<4>(inputWords.data(), outputWords.data(), workspace_); break;
-        case 8: compiled_->run<8>(inputWords.data(), outputWords.data(), workspace_); break;
-        default: compiled_->run<16>(inputWords.data(), outputWords.data(), workspace_); break;
-    }
+    compiled_->run<kBlockWords>(inputWords.data(), outputWords.data(), workspace_);
 }
 
 }  // namespace axf::circuit

@@ -12,6 +12,11 @@
 
 namespace axf::circuit {
 
+/// Block shape of every wide evaluation: `kBlockWords` 64-bit words per
+/// workspace slot, `kBlockLanes` independent lanes per sweep.
+inline constexpr std::size_t kBlockWords = kernels::kBlockWords;
+inline constexpr std::size_t kBlockLanes = kBlockWords * 64;
+
 /// A `Netlist` lowered once into a flat instruction stream for repeated
 /// evaluation: dead nodes pruned (unless preservation is requested), slots
 /// compacted, constants hoisted out of the sweep entirely, and — in the
@@ -31,25 +36,13 @@ namespace axf::circuit {
 ///
 /// Instruction operands are *slot* indices into a workspace of
 /// `slotCount() * W` words, where `W` is the number of 64-bit words carried
-/// per slot.  `run<W>()` evaluates one block of `W * 64` independent lanes;
-/// the per-gate dispatch is amortized over the W words and over whole
+/// per slot: `kBlockWords` for the wide path, 1 for the narrow one.
+/// `run<W>()` evaluates one block of `W * 64` independent lanes; the
+/// per-gate dispatch is amortized over the W words and over whole
 /// same-opcode runs.
 class CompiledNetlist {
 public:
     using Word = std::uint64_t;
-
-    /// Upper bound of the wide width set (see `kernels::kWideWidths`): the
-    /// sizing constant for width-agnostic buffers.  Each compiled program
-    /// additionally carries a *chosen* block width (`blockWords()`, 4 / 8 /
-    /// 16 words = 256 / 512 / 1024 lanes per sweep) picked at compile()
-    /// time — from `Options::blockWords`, `kernels::ScopedWidthOverride`,
-    /// `AXF_FORCE_WIDTH`, or a workspace-footprint heuristic, in that
-    /// priority order — which sizes its `BatchSimulator` workspaces.  The
-    /// program remains runnable at every width in the set, and results are
-    /// bit-identical across all of them: width is an execution-shape knob,
-    /// never a semantic one.
-    static constexpr std::size_t kMaxWordsPerBlock = kernels::kMaxWideWords;
-    static constexpr std::size_t kMaxLanesPerBlock = kernels::kMaxWideLanes;
 
     struct Options {
         /// Drop gates outside the output cone.  Disable when per-node
@@ -61,10 +54,6 @@ public:
         /// Kernel backend to run on; nullptr selects the process-wide
         /// `kernels::selectedBackend()`.
         const kernels::Backend* backend = nullptr;
-        /// Block width in words (4 / 8 / 16) for this program's
-        /// `BatchSimulator` workspaces; 0 picks automatically (override
-        /// hooks, then the footprint heuristic).
-        std::size_t blockWords = 0;
     };
 
     /// Compile-time shape of the program, for observability (printed by
@@ -76,7 +65,6 @@ public:
         std::size_t fusedOps = 0;      ///< peephole rewrites applied
         std::size_t gatesFused = 0;    ///< live gates folded away by fusion
         const char* backend = "";      ///< kernel backend the program runs on
-        std::size_t blockWords = 0;    ///< chosen block width (words per slot)
     };
 
     /// Maximal run of same-opcode instructions: the evaluator dispatches
@@ -119,12 +107,6 @@ public:
     std::span<const std::pair<std::uint32_t, bool>> constantSlots() const { return constants_; }
     const kernels::Backend& backend() const { return *backend_; }
 
-    /// Block width chosen for this program (words per slot: 4, 8 or 16)
-    /// and its lane count per sweep.  Purely an execution-shape choice:
-    /// `run<W>` stays valid — and bit-identical — at every width.
-    std::size_t blockWords() const { return blockWords_; }
-    std::size_t blockLanes() const { return blockWords_ * 64; }
-
     Stats stats() const;
 
     std::size_t workspaceWords(std::size_t wordsPerSlot) const {
@@ -135,14 +117,14 @@ public:
     /// are never re-evaluated inside `run`).
     void initWorkspace(std::span<Word> workspace, std::size_t wordsPerSlot) const;
 
-    /// Evaluates one block of W*64 lanes, W in {1, 4, 8, 16}.  `inputs` is
+    /// Evaluates one block of W*64 lanes, W in {1, kBlockWords}.  `inputs` is
     /// input-major (`inputCount() * W` words: input i occupies [i*W,
     /// i*W+W)), `outputs` likewise.  `workspace` must hold
     /// `workspaceWords(W)` words, be aligned to `W * sizeof(Word)` bytes
     /// (the kernels use whole-slot vector accesses; `BatchSimulator`
-    /// 128-byte-aligns its workspace so every width's slots stay
-    /// cache-line-clean) and have been initialized with `initWorkspace`
-    /// once.  The input/output buffers carry no alignment requirement.
+    /// 128-byte-aligns its workspace so wide slots stay cache-line-clean)
+    /// and have been initialized with `initWorkspace` once.  The
+    /// input/output buffers carry no alignment requirement.
     template <std::size_t W>
     void run(const Word* inputs, Word* outputs, Word* workspace) const;
 
@@ -154,7 +136,7 @@ public:
     struct InjectedFault {
         std::uint32_t afterInstr = 0;
         std::uint32_t slot = 0;
-        std::array<Word, kMaxWordsPerBlock> mask{};
+        std::array<Word, kBlockWords> mask{};
         bool stuckTo = false;
     };
     /// `afterInstr` sentinel for faults on primary-input slots.
@@ -178,35 +160,30 @@ private:
     std::vector<NodeId> slotNode_;
     std::vector<std::pair<std::uint32_t, bool>> constants_;
     std::size_t slotCount_ = 0;
-    std::size_t blockWords_ = kernels::kBaseWideWords;
     std::size_t fusedOps_ = 0;
     std::size_t gatesFused_ = 0;
     const kernels::Backend* backend_ = nullptr;
     bool allNodes_ = false;
 };
 
-/// Multi-word evaluator: carries `blockLanes()` (256 / 512 / 1024,
-/// following the compiled program's chosen width) independent test vectors
-/// per sweep over a shared `CompiledNetlist`.  Owns the workspace, so a
+/// Multi-word evaluator: carries `kBlockLanes` independent test vectors per
+/// sweep over a shared `CompiledNetlist`.  Owns the workspace, so a
 /// single instance is not thread-safe; create one per thread (the compiled
 /// netlist itself is immutable and freely shared).
 class BatchSimulator {
 public:
     using Word = CompiledNetlist::Word;
-    static constexpr std::size_t kMaxWordsPerBlock = CompiledNetlist::kMaxWordsPerBlock;
-    static constexpr std::size_t kMaxLanesPerBlock = CompiledNetlist::kMaxLanesPerBlock;
 
     explicit BatchSimulator(const CompiledNetlist& compiled)
         : compiled_(&compiled),
-          storage_(compiled.workspaceWords(compiled.blockWords()) + kAlignWords, 0) {
-        // 128-byte-align the workspace: slots are up to 128-byte regions
-        // (W = 16), and a lesser-aligned base would make wide slots
-        // straddle cache lines (split vector loads/stores on every gate).
+          storage_(compiled.workspaceWords(kBlockWords) + kAlignWords, 0) {
+        // 128-byte-align the workspace: slots are 128-byte regions, and a
+        // lesser-aligned base would make them straddle cache lines (split
+        // vector loads/stores on every gate).
         std::size_t misalign =
             reinterpret_cast<std::uintptr_t>(storage_.data()) % (kAlignWords * sizeof(Word));
         workspace_ = storage_.data() + (misalign ? kAlignWords - misalign / sizeof(Word) : 0);
-        compiled.initWorkspace({workspace_, compiled.workspaceWords(compiled.blockWords())},
-                               compiled.blockWords());
+        compiled.initWorkspace({workspace_, compiled.workspaceWords(kBlockWords)}, kBlockWords);
     }
 
     // The aligned view points into storage_: moves keep it valid (the heap
@@ -216,14 +193,9 @@ public:
     BatchSimulator(BatchSimulator&&) = default;
     BatchSimulator& operator=(BatchSimulator&&) = default;
 
-    /// Block shape this workspace is sized for (the compiled program's
-    /// chosen width).
-    std::size_t blockWords() const { return compiled_->blockWords(); }
-    std::size_t blockLanes() const { return compiled_->blockLanes(); }
-
-    /// Evaluates one `blockLanes()`-lane block.  `inputWords` holds
-    /// `inputCount() * blockWords()` words input-major; `outputWords`
-    /// receives `outputCount() * blockWords()` words output-major.
+    /// Evaluates one `kBlockLanes`-lane block.  `inputWords` holds
+    /// `inputCount() * kBlockWords` words input-major; `outputWords`
+    /// receives `outputCount() * kBlockWords` words output-major.
     void evaluate(std::span<const Word> inputWords, std::span<Word> outputWords);
 
     /// Rebinds this workspace to a different compiled program, reusing the

@@ -1,15 +1,12 @@
-// Backend and width selection: runtime CPU detection, the
-// AXF_FORCE_BACKEND / AXF_FORCE_WIDTH escape hatches, and the test
-// override hooks.  Detection runs once per process; every CompiledNetlist
-// snapshot-resolves its kernel plan against the backend (and block width)
-// selected at compile() time.
+// Backend selection: runtime CPU detection, the AXF_FORCE_BACKEND escape
+// hatch, and the test override hook.  Detection runs once per process;
+// every CompiledNetlist binds to the backend selected at compile() time.
 
 #include "src/circuit/kernels.hpp"
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
 
 namespace axf::circuit::kernels {
 
@@ -38,7 +35,6 @@ const Backend* detect() {
 }
 
 std::atomic<const Backend*> gOverride{nullptr};
-std::atomic<std::size_t> gWidthOverride{0};
 
 }  // namespace
 
@@ -49,37 +45,6 @@ const Backend* resolveForcedBackend(std::string_view value) {
                  "(known: portable, avx2, avx512, neon); falling back to auto-detection\n",
                  static_cast<int>(value.size()), value.data());
     return nullptr;
-}
-
-std::size_t resolveForcedWidth(std::string_view value) {
-    if (value == "4") return 4;
-    if (value == "8") return 8;
-    if (value == "16") return 16;
-    std::fprintf(stderr,
-                 "axf: AXF_FORCE_WIDTH=%.*s: not a supported block width "
-                 "(known: 4, 8, 16); falling back to the automatic chooser\n",
-                 static_cast<int>(value.size()), value.data());
-    return 0;
-}
-
-std::size_t forcedWidth() {
-    static const std::size_t width = [] {
-        const char* force = std::getenv("AXF_FORCE_WIDTH");
-        return (force != nullptr && *force != '\0') ? resolveForcedWidth(force) : std::size_t{0};
-    }();
-    return width;
-}
-
-std::size_t widthOverride() { return gWidthOverride.load(std::memory_order_acquire); }
-
-ScopedWidthOverride::ScopedWidthOverride(std::size_t words) {
-    if (words != 0 && !isWideWidth(words))
-        throw std::invalid_argument("ScopedWidthOverride: width must be 0, 4, 8 or 16");
-    previous_ = gWidthOverride.exchange(words, std::memory_order_acq_rel);
-}
-
-ScopedWidthOverride::~ScopedWidthOverride() {
-    gWidthOverride.store(previous_, std::memory_order_release);
 }
 
 const char* opCodeName(OpCode op) {

@@ -11,33 +11,10 @@ namespace axf::circuit::kernels {
 
 using Word = std::uint64_t;
 
-/// The compile-time width set: words per slot of the wide configurations.
-/// Every backend instantiates its kernel tables (run kernels, decoders)
-/// once per width; `CompiledNetlist` picks one width per netlist at
-/// compile time (footprint heuristic / AXF_FORCE_WIDTH /
-/// ScopedWidthOverride) and can still be run at any of them.  Width is
-/// purely an execution-shape knob: results are bit-identical across the
-/// whole set, pinned by differential tests against the W = 4 oracle.
-inline constexpr std::size_t kWidthCount = 3;
-inline constexpr std::array<std::size_t, kWidthCount> kWideWidths = {4, 8, 16};
-
-/// W = 4 (256 lanes): the differential-oracle width and the accumulation
-/// granularity wider widths must reproduce (see error::Accumulator users).
-inline constexpr std::size_t kBaseWideWords = 4;
-inline constexpr std::size_t kBaseWideLanes = kBaseWideWords * 64;
-
-/// W = 16 (1024 lanes): sizing bound for width-agnostic buffers.
-inline constexpr std::size_t kMaxWideWords = 16;
-inline constexpr std::size_t kMaxWideLanes = kMaxWideWords * 64;
-
-constexpr bool isWideWidth(std::size_t words) {
-    return words == 4 || words == 8 || words == 16;
-}
-
-/// Index of a width in `kWideWidths` (and in `Backend::wide`).
-constexpr std::size_t widthIndex(std::size_t words) {
-    return words == 4 ? 0 : words == 8 ? 1 : 2;
-}
+/// Words per workspace slot of every wide evaluation: W = 16, so one
+/// dispatch sweeps 1024 lanes.  Every backend builds its run kernels and
+/// bit-plane decoders at this one width (plus the W = 1 narrow row).
+inline constexpr std::size_t kBlockWords = 16;
 
 /// Instruction alphabet of the compiled engine: every logic `GateKind`
 /// plus the fused instructions produced by the peephole pass in
@@ -136,33 +113,28 @@ struct Instr {
 /// itself a valid run.
 using KernelFn = void (*)(const Instr* instrs, std::uint32_t count, Word* ws);
 
-/// Decodes `bits` output bit-planes of a wide block (W words per plane,
-/// plane-major, where W is the width of the `WidthTables` the function
-/// lives in) into one integer per lane (W * 64 lanes).
+/// Decodes `bits` output bit-planes of a wide block (kBlockWords words per
+/// plane, plane-major) into one integer per lane (kBlockWords * 64 lanes).
 using Decode16Fn = void (*)(const Word* planes, std::size_t bits, std::uint16_t* out);
 using Decode32Fn = void (*)(const Word* planes, std::size_t bits, std::uint32_t* out);
 
-/// Kernels of one backend at one block width W: one run kernel per opcode
-/// and the bit-plane decoders.
+/// Kernels of one backend at W = kBlockWords: one run kernel per opcode and
+/// the bit-plane decoders.
 struct WidthTables {
     std::array<KernelFn, kOpCount> run;
     Decode16Fn decode16;
     Decode32Fn decode32;
 };
 
-/// One ISA backend: a complete kernel table per block width, selected once
-/// per process (or forced per compile).  All backends compute bit-identical
-/// results at every width — the tables differ only in the ISA their
-/// translation unit is compiled for.
+/// One ISA backend, selected once per process (or forced per compile).
+/// All backends compute bit-identical results — the tables differ only in
+/// the ISA their translation unit is compiled for.
 struct Backend {
     const char* name;
-    /// Wide kernel tables, indexed by `widthIndex(W)` for W in
-    /// kWideWidths (4 -> 256, 8 -> 512, 16 -> 1024 lanes per dispatch).
-    std::array<WidthTables, kWidthCount> wide;
+    /// Kernel tables at W = kBlockWords (1024 lanes per dispatch).
+    WidthTables wide;
     /// Run kernels at W = 1 (64 lanes; `Simulator`, activity).
     std::array<KernelFn, kOpCount> narrow;
-
-    const WidthTables& at(std::size_t words) const { return wide[widthIndex(words)]; }
 };
 
 /// Backend chosen for this process: the widest ISA the CPU supports
@@ -200,34 +172,6 @@ private:
 /// execute it (selection then falls back to auto-detection).  Exposed so
 /// the warning path is testable without mutating the process environment.
 const Backend* resolveForcedBackend(std::string_view value);
-
-/// Resolves an AXF_FORCE_WIDTH value ("4" / "8" / "16"): the block width
-/// in words, or 0 after a stderr warning when the value is not a member of
-/// the width set (the chooser then falls back to the footprint heuristic).
-std::size_t resolveForcedWidth(std::string_view value);
-
-/// Block width forced via AXF_FORCE_WIDTH, or 0 when unset or invalid.
-/// Parsed once per process.
-std::size_t forcedWidth();
-
-/// Width override currently installed by ScopedWidthOverride (0 = none).
-std::size_t widthOverride();
-
-/// RAII test hook: pins the block width every subsequent
-/// `CompiledNetlist::compile` chooses, overriding both the footprint
-/// heuristic and AXF_FORCE_WIDTH (an explicit `Options::blockWords` still
-/// wins).  Pass 0 to restore automatic choice.  Not for concurrent use
-/// with compilation on other threads.
-class ScopedWidthOverride {
-public:
-    explicit ScopedWidthOverride(std::size_t words);
-    ~ScopedWidthOverride();
-    ScopedWidthOverride(const ScopedWidthOverride&) = delete;
-    ScopedWidthOverride& operator=(const ScopedWidthOverride&) = delete;
-
-private:
-    std::size_t previous_;
-};
 
 /// Per-TU backend accessors; nullptr when the ISA is not compiled in.
 /// (Runtime support is checked by the selection logic, not here.)

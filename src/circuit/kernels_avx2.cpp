@@ -15,7 +15,7 @@ namespace avx2_impl {
 
 #include "src/circuit/kernels_generic.inc"
 
-constexpr Backend kBackend = {"avx2", kGenericWideTables, kGenericNarrow};
+constexpr Backend kBackend = {"avx2", kGenericWide, kGenericNarrow};
 
 }  // namespace avx2_impl
 

@@ -1,10 +1,8 @@
-// AVX-512 backend: the generic run kernels compiled for x86-64-v4, where
-// each block width maps to its natural register shape — W = 4 (256 lanes)
-// on ymm via AVX-512VL, W = 8 (512 lanes) on one zmm, W = 16 (1024 lanes)
-// on a zmm pair.  The one hand-written part is the bit-plane decoders:
-// AVX-512BW masked broadcast-adds (the plane word itself is the write
-// mask), tiled in 256-lane groups so the accumulator set stays within the
-// register file at every width.
+// AVX-512 backend: the generic run kernels compiled for x86-64-v4, where a
+// 16-word (1024-lane) slot is a pair of zmm registers.  The one
+// hand-written part is the bit-plane decoders: AVX-512BW masked
+// broadcast-adds (the plane word itself is the write mask), tiled in
+// 256-lane groups so the accumulator set stays within the register file.
 //
 // CMake compiles this TU with -march=x86-64-v4; nothing in it executes
 // unless runtime detection confirmed avx512{f,bw,vl,dq}.
@@ -23,10 +21,10 @@ namespace avx512_impl {
 
 /// One masked broadcast-add per (bit, 32-lane group): twice the lanes per
 /// add of the 32-bit decode, valid for bits <= 16.  Tiled in 256-lane
-/// (4-word) groups so wider widths reuse the same 8-accumulator inner
-/// kernel instead of demanding W/4 times the registers.
-template <std::size_t W>
+/// (4-word) groups so the block reuses one 8-accumulator inner kernel
+/// instead of demanding four times the registers.
 void decode16Avx512(const Word* planes, std::size_t bits, std::uint16_t* out) {
+    constexpr std::size_t W = kBlockWords;
     constexpr std::size_t kTileWords = 4;
     for (std::size_t base = 0; base < W; base += kTileWords) {
         constexpr std::size_t kGroups = kTileWords * 64 / 32;
@@ -47,8 +45,8 @@ void decode16Avx512(const Word* planes, std::size_t bits, std::uint16_t* out) {
     }
 }
 
-template <std::size_t W>
 void decode32Avx512(const Word* planes, std::size_t bits, std::uint32_t* out) {
+    constexpr std::size_t W = kBlockWords;
     constexpr std::size_t kTileWords = 4;
     for (std::size_t base = 0; base < W; base += kTileWords) {
         constexpr std::size_t kGroups = kTileWords * 64 / 16;
@@ -69,17 +67,9 @@ void decode32Avx512(const Word* planes, std::size_t bits, std::uint32_t* out) {
     }
 }
 
-/// The generic run kernels at width W with the AVX-512BW decoders.
-template <std::size_t W>
-constexpr WidthTables makeWidthTables() {
-    return WidthTables{kGenericWideTables[widthIndex(W)].run, &decode16Avx512<W>,
-                       &decode32Avx512<W>};
-}
-
-constexpr std::array<WidthTables, kWidthCount> kWideTables = {
-    makeWidthTables<4>(), makeWidthTables<8>(), makeWidthTables<16>()};
-
-constexpr Backend kBackend = {"avx512", kWideTables, kGenericNarrow};
+/// The generic run kernels with the AVX-512BW decoders.
+constexpr Backend kBackend = {
+    "avx512", {kGenericWide.run, &decode16Avx512, &decode32Avx512}, kGenericNarrow};
 
 }  // namespace avx512_impl
 

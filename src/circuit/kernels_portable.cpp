@@ -11,7 +11,7 @@ namespace portable_impl {
 
 #include "src/circuit/kernels_generic.inc"
 
-constexpr Backend kBackend = {"portable", kGenericWideTables, kGenericNarrow};
+constexpr Backend kBackend = {"portable", kGenericWide, kGenericNarrow};
 
 }  // namespace portable_impl
 

@@ -30,18 +30,14 @@ using error::detail::fillExactExhaustive;
 using error::detail::mixSeed;
 using Word = CompiledNetlist::Word;
 
-/// Sizing bound for width-agnostic buffers; every task follows the
-/// compiled program's *chosen* width (`blockWords()`: 4 / 8 / 16 words =
-/// 256 / 512 / 1024 lanes per sweep) at runtime.
-constexpr std::size_t kMaxWords = error::detail::kMaxWords;
+using circuit::kBlockLanes;
+using circuit::kBlockWords;
 
-/// Accumulation granularity (256 lanes) every block width reproduces: the
-/// exhaustive campaign merges one *fresh* partial accumulator per
-/// kBaseLanes sub-block in ascending order — the canonical accumulation
-/// structure the 4-word oracle defines — so reports stay bit-identical
-/// across block widths.
+/// Accumulation granularity (256 lanes): the exhaustive campaign merges one
+/// *fresh* partial accumulator per kBaseLanes sub-block in ascending order,
+/// the canonical accumulation structure of every campaign report.
 constexpr std::size_t kBaseLanes = error::detail::kBaseLanes;
-constexpr std::size_t kMaxSubBlocks = kMaxWords * 64 / kBaseLanes;
+constexpr std::size_t kSubBlocks = kBlockLanes / kBaseLanes;
 
 /// Faults per exhaustive work task.  Fixed (never derived from the thread
 /// count), and each fault's block-ordered partials are independent of the
@@ -52,45 +48,21 @@ constexpr std::size_t kMaxSubBlocks = kMaxWords * 64 / kBaseLanes;
 constexpr std::size_t kFaultsPerTask = 64;
 
 /// Lanes per fault group in the sampled lane-group packing: one reference
-/// group plus `blockWords() - 1` fault groups per block — three faults
-/// ride each simulation at the 4-word width, seven at 8, fifteen at 16.
+/// group plus `kBlockWords - 1` = 15 fault groups per block.
 constexpr std::size_t kGroupLanes = 64;
-
-/// Runtime-width dispatch into the compiled program's templated entry
-/// points.  The width is an execution-shape choice only: every branch
-/// computes bit-identical results.
-void runBlock(const CompiledNetlist& compiled, std::size_t words, const Word* in, Word* out,
-              Word* ws) {
-    switch (words) {
-        case 4: compiled.run<4>(in, out, ws); break;
-        case 8: compiled.run<8>(in, out, ws); break;
-        default: compiled.run<16>(in, out, ws); break;
-    }
-}
-
-void runBlockWithFaults(const CompiledNetlist& compiled, std::size_t words, const Word* in,
-                        Word* out, Word* ws,
-                        std::span<const CompiledNetlist::InjectedFault> faults) {
-    switch (words) {
-        case 4: compiled.runWithFaults<4>(in, out, ws, faults); break;
-        case 8: compiled.runWithFaults<8>(in, out, ws, faults); break;
-        default: compiled.runWithFaults<16>(in, out, ws, faults); break;
-    }
-}
+constexpr std::size_t kFaultsPerPass = kBlockWords - 1;
 
 /// Owning 128-byte-aligned workspace for direct CompiledNetlist::run calls
 /// (BatchSimulator does not expose its workspace pointer, and the fault
-/// replay needs raw slot-plane access).  Sized and aligned for the
-/// program's chosen block width (128 bytes covers the widest, W = 16,
-/// whole-slot vector accesses).
+/// replay needs raw slot-plane access).  128 bytes is one whole slot, the
+/// unit of the kernels' vector accesses.
 struct SimScratch {
     explicit SimScratch(const CompiledNetlist& compiled)
-        : storage(compiled.workspaceWords(compiled.blockWords()) + kAlignWords, 0) {
+        : storage(compiled.workspaceWords(kBlockWords) + kAlignWords, 0) {
         const std::size_t misalign =
             reinterpret_cast<std::uintptr_t>(storage.data()) % (kAlignWords * sizeof(Word));
         ws = storage.data() + (misalign ? kAlignWords - misalign / sizeof(Word) : 0);
-        compiled.initWorkspace({ws, compiled.workspaceWords(compiled.blockWords())},
-                               compiled.blockWords());
+        compiled.initWorkspace({ws, compiled.workspaceWords(kBlockWords)}, kBlockWords);
     }
     std::vector<Word> storage;
     Word* ws = nullptr;
@@ -99,19 +71,17 @@ private:
     static constexpr std::size_t kAlignWords = 16;  // 128 bytes
 };
 
-/// Decodes a full `blockWords`-wide output block and hands the typed lane
-/// array to `fn`.
+/// Decodes a full output block and hands the typed lane array to `fn`.
 template <typename Fn>
-void withDecoded(const std::vector<Word>& out, std::size_t outputs, Workspace& w,
-                 std::size_t blockWords, Fn&& fn) {
+void withDecoded(const std::vector<Word>& out, std::size_t outputs, Workspace& w, Fn&& fn) {
     if (outputs <= 16) {
-        error::detail::decodeOutputsU16(out.data(), outputs, w.approx16.data(), blockWords);
+        error::detail::decodeOutputsU16(out.data(), outputs, w.approx16.data());
         fn(w.approx16.data());
     } else if (outputs <= 32) {
-        error::detail::decodeOutputsU32(out.data(), outputs, w.approx32.data(), blockWords);
+        error::detail::decodeOutputsU32(out.data(), outputs, w.approx32.data());
         fn(w.approx32.data());
     } else {
-        error::detail::decodeOutputsU64(out.data(), outputs, w.approx64.data(), blockWords);
+        error::detail::decodeOutputsU64(out.data(), outputs, w.approx64.data());
         fn(w.approx64.data());
     }
 }
@@ -174,11 +144,11 @@ SitePlan buildCone(const CompiledNetlist& compiled, const FaultSite& site,
 /// the fault-free circuit per block and replaying each fault's cone
 /// against it.  Every block's results feed the accumulators as fresh
 /// 256-lane sub-partials merged in ascending order — the canonical
-/// accumulation structure of the whole campaign, independent of the block
-/// width.  Blocks where a fault never reaches an output reuse the nominal
-/// sub-partials outright (bit-identical: equal outputs decode to equal
-/// values); the same argument makes fresh faulted sub-partials safe for
-/// sub-ranges the fault did not deviate in.
+/// accumulation structure of the whole campaign.  Blocks where a fault
+/// never reaches an output reuse the nominal sub-partials outright
+/// (bit-identical: equal outputs decode to equal values); the same
+/// argument makes fresh faulted sub-partials safe for sub-ranges the fault
+/// did not deviate in.
 ///
 /// Per-fault work is trimmed three ways, none of which changes a single
 /// result bit: the reference workspace is snapshotted once per block so
@@ -196,30 +166,29 @@ void runExhaustiveTask(const CompiledNetlist& compiled, const circuit::ArithSign
     Workspace w;
     const int totalBits = sig.inputWidth();
     const std::size_t outputs = compiled.outputCount();
-    const std::size_t words = compiled.blockWords();
-    const std::size_t blockLanes = words * 64;
+    constexpr std::size_t words = kBlockWords;
     w.in.resize(static_cast<std::size_t>(totalBits) * words);
     w.out.resize(outputs * words);
     std::vector<Word> refOut(outputs * words);
     std::vector<Word> refWs(compiled.workspaceWords(words));
     const std::span<const std::uint32_t> outSlots = compiled.outputSlots();
-    const circuit::kernels::WidthTables& tables = compiled.backend().at(words);
+    const circuit::kernels::WidthTables& tables = compiled.backend().wide;
 
     const auto subLanes = [&](std::size_t lanes, std::size_t sb) {
         return std::min(kBaseLanes, lanes - sb * kBaseLanes);
     };
 
     const std::uint64_t space = std::uint64_t{1} << totalBits;
-    for (std::uint64_t base = 0; base < space; base += blockLanes) {
+    for (std::uint64_t base = 0; base < space; base += kBlockLanes) {
         const std::size_t lanes =
-            static_cast<std::size_t>(std::min<std::uint64_t>(blockLanes, space - base));
+            static_cast<std::size_t>(std::min<std::uint64_t>(kBlockLanes, space - base));
         const std::size_t subBlocks = (lanes + kBaseLanes - 1) / kBaseLanes;
         circuit::fillExhaustiveBlock(w.in, totalBits, base, words);
-        runBlock(compiled, words, w.in.data(), refOut.data(), ws);
+        compiled.run<words>(w.in.data(), refOut.data(), ws);
         std::memcpy(refWs.data(), ws, refWs.size() * sizeof(Word));
         fillExactExhaustive(w, sig, base, lanes);
-        std::array<Accumulator, kMaxSubBlocks> nominalSub;
-        withDecoded(refOut, outputs, w, words, [&](const auto* approx) {
+        std::array<Accumulator, kSubBlocks> nominalSub;
+        withDecoded(refOut, outputs, w, [&](const auto* approx) {
             for (std::size_t sb = 0; sb < subBlocks; ++sb)
                 nominalSub[sb].addBlock(approx + sb * kBaseLanes,
                                         w.exact.data() + sb * kBaseLanes, subLanes(lanes, sb));
@@ -228,7 +197,7 @@ void runExhaustiveTask(const CompiledNetlist& compiled, const circuit::ArithSign
             for (std::size_t sb = 0; sb < subBlocks; ++sb) nominalOut->merge(nominalSub[sb]);
 
         // Valid-lane mask for tail blocks (spaces below a full block).
-        std::array<Word, kMaxWords> valid{};
+        std::array<Word, words> valid{};
         for (std::size_t wd = 0; wd < words; ++wd) {
             const std::size_t lo = wd * 64;
             valid[wd] = lanes >= lo + 64 ? ~Word{0}
@@ -266,7 +235,7 @@ void runExhaustiveTask(const CompiledNetlist& compiled, const circuit::ArithSign
 
             std::uint64_t devCount = 0;
             {
-                std::array<Word, kMaxWords> dev{};
+                std::array<Word, words> dev{};
                 for (const std::uint32_t o : plan.outPlanes) {
                     const Word* a = ws + static_cast<std::size_t>(outSlots[o]) * words;
                     const Word* b = refOut.data() + static_cast<std::size_t>(o) * words;
@@ -284,7 +253,7 @@ void runExhaustiveTask(const CompiledNetlist& compiled, const circuit::ArithSign
                     std::memcpy(w.out.data() + static_cast<std::size_t>(o) * words,
                                 ws + static_cast<std::size_t>(outSlots[o]) * words,
                                 words * sizeof(Word));
-                withDecoded(w.out, outputs, w, words, [&](const auto* approx) {
+                withDecoded(w.out, outputs, w, [&](const auto* approx) {
                     for (std::size_t sb = 0; sb < subBlocks; ++sb) {
                         Accumulator partial;
                         partial.addBlock(approx + sb * kBaseLanes,
@@ -298,12 +267,12 @@ void runExhaustiveTask(const CompiledNetlist& compiled, const circuit::ArithSign
     }
 }
 
-/// Sampled campaign task: one fault group (up to `blockWords() - 1`
-/// faults) riding lane groups 1.. of every block while lane group 0
-/// carries the fault-free reference on the same replicated inputs, so
-/// per-fault deviation falls out of an in-register lane compare.  The
-/// per-batch sample stream is a pure function of (seed, batch index):
-/// independent of the grouping, the block width and the thread count.
+/// Sampled campaign task: one fault group (up to `kFaultsPerPass` faults)
+/// riding lane groups 1.. of every block while lane group 0 carries the
+/// fault-free reference on the same replicated inputs, so per-fault
+/// deviation falls out of an in-register lane compare.  The per-batch
+/// sample stream is a pure function of (seed, batch index): independent of
+/// the grouping and the thread count.
 void runSampledTask(const CompiledNetlist& compiled, const circuit::ArithSignature& sig,
                     std::span<const FaultSite> sites, const error::ErrorAnalysisConfig& cfg,
                     std::span<Accumulator> accs, std::span<std::uint64_t> deviated,
@@ -312,7 +281,7 @@ void runSampledTask(const CompiledNetlist& compiled, const circuit::ArithSignatu
     Workspace w;
     const int totalBits = sig.inputWidth();
     const std::size_t outputs = compiled.outputCount();
-    const std::size_t words = compiled.blockWords();
+    constexpr std::size_t words = kBlockWords;
     w.in.resize(static_cast<std::size_t>(totalBits) * words);
     w.out.resize(outputs * words);
 
@@ -337,7 +306,7 @@ void runSampledTask(const CompiledNetlist& compiled, const circuit::ArithSignatu
             Word* bitWords = w.in.data() + static_cast<std::size_t>(bit) * words;
             for (std::size_t wd = 0; wd < words; ++wd) bitWords[wd] = r;  // replicate per group
         }
-        runBlockWithFaults(compiled, words, w.in.data(), w.out.data(), scratch.ws, faults);
+        compiled.runWithFaults<words>(w.in.data(), w.out.data(), scratch.ws, faults);
         for (std::size_t lane = 0; lane < lanes; ++lane) {
             std::uint64_t a = 0, b = 0;
             for (int bit = 0; bit < sig.widthA; ++bit)
@@ -347,7 +316,7 @@ void runSampledTask(const CompiledNetlist& compiled, const circuit::ArithSignatu
                      << bit;
             w.exact[lane] = sig.exact(a, b);
         }
-        withDecoded(w.out, outputs, w, words, [&](const auto* approx) {
+        withDecoded(w.out, outputs, w, [&](const auto* approx) {
             if (nominalOut != nullptr) {
                 Accumulator partial;
                 partial.addBlock(approx, w.exact.data(), lanes);
@@ -534,9 +503,8 @@ ResilienceReport analyzeResilience(const Netlist& netlist, const circuit::ArithS
             plans.push_back(buildCone(compiled, site, affectedScratch));
     }
 
-    // Sampled tasks pack one fault per lane group: a wider block carries
-    // more faults through each simulation pass.
-    const std::size_t perTask = exhaustive ? kFaultsPerTask : compiled.blockWords() - 1;
+    // Sampled tasks pack one fault per lane group of a block.
+    const std::size_t perTask = exhaustive ? kFaultsPerTask : kFaultsPerPass;
     const std::size_t taskCount = (activeCount + perTask - 1) / perTask;
     const auto runTask = [&](std::size_t t) {
         const std::size_t begin = t * perTask;

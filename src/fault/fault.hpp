@@ -127,9 +127,9 @@ struct ResilienceReport {
 /// fault-free reference sweep: the reference block is simulated once,
 /// each fault re-executes only its fan-out cone, and blocks where the
 /// fault does not reach an output reuse the nominal partial accumulator
-/// outright.  Sampled spaces pack three faults plus the fault-free
-/// reference into one 256-lane block (64 lanes each) and compute per-fault
-/// deviation in-register against the reference lane group.
+/// outright.  Sampled spaces pack fifteen faults plus the fault-free
+/// reference into one 1024-lane block (64 lanes each) and compute
+/// per-fault deviation in-register against the reference lane group.
 ResilienceReport analyzeResilience(const circuit::Netlist& netlist,
                                    const circuit::ArithSignature& sig,
                                    const CampaignConfig& config = {});

@@ -4,6 +4,8 @@
 
 #include "src/autoax/accelerator.hpp"
 #include "src/autoax/dse.hpp"
+#include "src/circuit/batch_sim.hpp"
+#include "src/circuit/simulator.hpp"
 #include "src/error/error_metrics.hpp"
 #include "src/gen/adders.hpp"
 #include "src/gen/multipliers.hpp"
@@ -154,33 +156,28 @@ TEST(GaussianAccelerator, ConfigValidation) {
 }
 
 TEST(BatchAdd16, MatchesScalarSimulation) {
+    // 2,500 lanes: two full blocks plus a partial tail block.  Operands
+    // carry a set bit 16 (a previous level's carry-out) on about half the
+    // lanes; the adder sees only the 16-bit-masked values.
     const circuit::Netlist adder = gen::loaAdder(16, 6);
-    circuit::Simulator batchSim(adder);
+    const circuit::CompiledNetlist compiled = circuit::CompiledNetlist::compile(adder);
+    circuit::BatchSimulator sim(compiled);
     circuit::Simulator scalarSim(adder);
     util::Rng rng(0x12);
-    std::array<std::uint32_t, 64> a{}, b{}, out{};
-    for (std::size_t lane = 0; lane < 64; ++lane) {
-        a[lane] = static_cast<std::uint32_t>(rng.uniformInt(0, 0xFFFF));
-        b[lane] = static_cast<std::uint32_t>(rng.uniformInt(0, 0xFFFF));
+    constexpr std::size_t kLanes = 2500;
+    std::vector<std::uint32_t> a(kLanes), b(kLanes), out(kLanes);
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        a[lane] = static_cast<std::uint32_t>(rng.uniformInt(0, 0x1FFFF));
+        b[lane] = static_cast<std::uint32_t>(rng.uniformInt(0, 0x1FFFF));
     }
-    BatchAddScratch scratch;
-    batchAdd16(batchSim, std::span<const std::uint32_t>(a),
-               std::span<const std::uint32_t>(b), std::span<std::uint32_t>(out), scratch);
-    std::array<std::uint32_t, 64> out2{};
-    batchAdd16(batchSim, std::span<const std::uint32_t>(a),
-               std::span<const std::uint32_t>(b), std::span<std::uint32_t>(out2));
-    EXPECT_EQ(out, out2);  // scratch and convenience overloads agree
-    // More than 64 lanes cannot be packed into one word sweep: reject
-    // instead of silently aliasing lane 64 onto lane 0.
-    std::vector<std::uint32_t> big(65, 1), bigOut(65);
-    EXPECT_THROW(batchAdd16(batchSim, std::span<const std::uint32_t>(big),
-                            std::span<const std::uint32_t>(big),
-                            std::span<std::uint32_t>(bigOut)),
-                 std::invalid_argument);
-    for (std::size_t lane = 0; lane < 64; ++lane) {
-        const std::uint64_t packed =
-            static_cast<std::uint64_t>(a[lane]) | (static_cast<std::uint64_t>(b[lane]) << 16);
-        EXPECT_EQ(out[lane], scalarSim.evaluateScalar(packed)) << "lane " << lane;
+    std::vector<circuit::CompiledNetlist::Word> inWords(32 * circuit::kBlockWords);
+    std::vector<circuit::CompiledNetlist::Word> outWords(compiled.outputCount() *
+                                                         circuit::kBlockWords);
+    batchAdd16Wide(sim, a.data(), b.data(), out.data(), kLanes, inWords, outWords);
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        const std::uint64_t packed = static_cast<std::uint64_t>(a[lane] & 0xFFFFu) |
+                                     (static_cast<std::uint64_t>(b[lane] & 0xFFFFu) << 16);
+        ASSERT_EQ(out[lane], scalarSim.evaluateScalar(packed)) << "lane " << lane;
     }
 }
 

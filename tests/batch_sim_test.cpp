@@ -35,8 +35,8 @@ Netlist randomNetlist(int inputs, int gates, int outputs, util::Rng& rng) {
     return net;
 }
 
-/// Exhaustively cross-checks BatchSimulator (blockLanes()-lane blocks at
-/// the program's chosen width, pruned compile) against
+/// Exhaustively cross-checks BatchSimulator (kBlockLanes-lane blocks,
+/// pruned compile) against
 /// Simulator::evaluateScalar (all-nodes compile) over the full input space
 /// of the netlist.
 void crossCheckExhaustive(const Netlist& net) {
@@ -49,14 +49,13 @@ void crossCheckExhaustive(const Netlist& net) {
     BatchSimulator batch(compiled);
     EXPECT_LE(compiled.slotCount(), net.nodeCount());
 
-    const std::size_t W = batch.blockWords();
+    constexpr std::size_t W = kBlockWords;
     std::vector<CompiledNetlist::Word> in(net.inputCount() * W);
     std::vector<CompiledNetlist::Word> out(net.outputCount() * W);
-    for (std::uint64_t base = 0; base < space; base += batch.blockLanes()) {
+    for (std::uint64_t base = 0; base < space; base += kBlockLanes) {
         fillExhaustiveBlock(in, totalBits, base, W);
         batch.evaluate(in, out);
-        const std::uint64_t lanes =
-            std::min<std::uint64_t>(batch.blockLanes(), space - base);
+        const std::uint64_t lanes = std::min<std::uint64_t>(kBlockLanes, space - base);
         for (std::uint64_t lane = 0; lane < lanes; ++lane) {
             std::uint64_t batchResult = 0;
             for (std::size_t o = 0; o < net.outputCount(); ++o)
@@ -130,18 +129,18 @@ TEST(BatchSimulator, ShapeChecks) {
     net.markOutput(0);
     const CompiledNetlist compiled = CompiledNetlist::compile(net);
     BatchSimulator sim(compiled);
-    std::vector<CompiledNetlist::Word> bad(sim.blockWords() * 2);
-    std::vector<CompiledNetlist::Word> out(sim.blockWords());
+    std::vector<CompiledNetlist::Word> bad(kBlockWords * 2);
+    std::vector<CompiledNetlist::Word> out(kBlockWords);
     EXPECT_THROW(sim.evaluate(bad, out), std::invalid_argument);
-    std::vector<CompiledNetlist::Word> in(sim.blockWords());
-    std::vector<CompiledNetlist::Word> badOut(sim.blockWords() * 3);
+    std::vector<CompiledNetlist::Word> in(kBlockWords);
+    std::vector<CompiledNetlist::Word> badOut(kBlockWords * 3);
     EXPECT_THROW(sim.evaluate(in, badOut), std::invalid_argument);
 }
 
 TEST(FillExhaustiveBlock, W1AndW4AgainstScalarBitReference) {
     // Scalar reference: bit `bit` of lane L must equal bit `bit` of the
     // enumerated index (base + L).  Checked at W = 1 (no word-index bits)
-    // and every wide width (pattern bits 0..5, word-index bits 6.., base
+    // and at W = 4, 8 and 16 (pattern bits 0..5, word-index bits 6.., base
     // bits above) over every bit class and several bases.
     const auto check = [](std::size_t W, int totalBits, std::uint64_t base) {
         std::vector<CompiledNetlist::Word> in(static_cast<std::size_t>(totalBits) * W);
@@ -173,7 +172,7 @@ TEST(CompiledNetlist, RunW1MatchesWideRunOnRandomNetlists) {
                                           20 + static_cast<int>(rng.index(60)),
                                           1 + static_cast<int>(rng.index(8)), rng);
         const CompiledNetlist compiled = CompiledNetlist::compile(net);
-        const std::size_t W = compiled.blockWords();
+        constexpr std::size_t W = kBlockWords;
         std::vector<CompiledNetlist::Word> wideIn(net.inputCount() * W);
         for (auto& w : wideIn) w = rng.uniformInt(0, ~std::uint64_t{0});
         std::vector<CompiledNetlist::Word> wideOut(net.outputCount() * W);

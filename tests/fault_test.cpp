@@ -33,10 +33,8 @@ using circuit::CompiledNetlist;
 using circuit::GateKind;
 using circuit::Netlist;
 using Word = CompiledNetlist::Word;
-// Direct run/runWithFaults calls here use the 4-word base width
-// explicitly: run<W> is valid at any width in the set regardless of the
-// program's chosen blockWords().  Wider widths are covered by width_test.
-constexpr std::size_t kW = circuit::kernels::kBaseWideWords;
+// Direct run/runWithFaults calls here use the engine's block width.
+constexpr std::size_t kW = circuit::kBlockWords;
 
 /// Aligned caller-owned workspace for direct CompiledNetlist::run /
 /// runWithFaults calls (mirrors what BatchSimulator does internally).

@@ -52,14 +52,13 @@ void crossCheck(const Netlist& net, const CompiledNetlist& compiled) {
     const std::uint64_t space = std::uint64_t{1} << totalBits;
     Simulator scalar(net);
     BatchSimulator batch(compiled);
-    const std::size_t W = batch.blockWords();
+    constexpr std::size_t W = kBlockWords;
     std::vector<CompiledNetlist::Word> in(net.inputCount() * W);
     std::vector<CompiledNetlist::Word> out(net.outputCount() * W);
-    for (std::uint64_t base = 0; base < space; base += batch.blockLanes()) {
+    for (std::uint64_t base = 0; base < space; base += kBlockLanes) {
         fillExhaustiveBlock(in, totalBits, base, W);
         batch.evaluate(in, out);
-        const std::uint64_t lanes =
-            std::min<std::uint64_t>(batch.blockLanes(), space - base);
+        const std::uint64_t lanes = std::min<std::uint64_t>(kBlockLanes, space - base);
         for (std::uint64_t lane = 0; lane < lanes; ++lane) {
             std::uint64_t result = 0;
             for (std::size_t o = 0; o < net.outputCount(); ++o)
@@ -86,6 +85,20 @@ TEST(KernelBackends, PortableAlwaysAvailable) {
 TEST(KernelBackends, UnknownNameRejected) {
     EXPECT_EQ(kernels::backendByName("bogus"), nullptr);
     EXPECT_NE(kernels::backendByName("portable"), nullptr);
+}
+
+TEST(ForcedSelection, UnknownBackendWarnsAndFallsBack) {
+    testing::internal::CaptureStderr();
+    const kernels::Backend* backend = kernels::resolveForcedBackend("bogus");
+    const std::string warning = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(backend, nullptr);
+    EXPECT_NE(warning.find("AXF_FORCE_BACKEND=bogus"), std::string::npos) << warning;
+    EXPECT_NE(warning.find("falling back"), std::string::npos) << warning;
+
+    // A known name resolves silently.
+    testing::internal::CaptureStderr();
+    EXPECT_NE(kernels::resolveForcedBackend("portable"), nullptr);
+    EXPECT_TRUE(testing::internal::GetCapturedStderr().empty());
 }
 
 TEST(KernelBackends, RunsBitIdenticalAcrossBackends) {
