@@ -20,6 +20,7 @@
 
 #include "src/autoax/accelerator.hpp"
 #include "src/autoax/eval_engine.hpp"
+#include "src/autoax/sobel.hpp"
 #include "src/circuit/batch_sim.hpp"
 #include "src/circuit/simulator.hpp"
 #include "src/circuit/transform.hpp"
@@ -282,11 +283,31 @@ const autoax::GaussianAccelerator& benchAccelerator() {
     return kAccel;
 }
 
-std::vector<autoax::AcceleratorConfig> benchConfigs(std::size_t n) {
+/// Sobel counterpart over a three-entry 16-bit adder menu.
+const autoax::SobelAccelerator& benchSobel() {
+    static const autoax::SobelAccelerator kSobel = [] {
+        std::vector<autoax::Component> adds;
+        for (circuit::Netlist net :
+             {gen::rippleCarryAdder(16), gen::loaAdder(16, 6), gen::truncatedAdder(16, 4)}) {
+            autoax::Component c;
+            c.name = net.name();
+            c.signature = gen::adderSignature(16);
+            c.error = error::analyzeError(net, c.signature);
+            c.fpga = synth::FpgaFlow().implement(net);
+            c.netlist = std::move(net);
+            adds.push_back(std::move(c));
+        }
+        return autoax::SobelAccelerator(std::move(adds));
+    }();
+    return kSobel;
+}
+
+std::vector<autoax::AcceleratorConfig> benchConfigs(const autoax::AcceleratorModel& model,
+                                                    std::size_t n) {
     util::Rng rng(0xBC);
     std::vector<autoax::AcceleratorConfig> configs;
     for (std::size_t i = 0; i < n; ++i)
-        configs.push_back(benchAccelerator().configSpace().randomConfig(rng));
+        configs.push_back(model.configSpace().randomConfig(rng));
     return configs;
 }
 
@@ -301,7 +322,7 @@ static void BM_AutoAxQualityBatch(benchmark::State& state) {
     const std::vector<img::Image> scenes = {img::syntheticScene(64, 64, 0xA1),
                                             img::syntheticScene(64, 64, 0xA2)};
     autoax::EvalEngine engine(benchAccelerator(), scenes, {.memoize = false});
-    const std::vector<autoax::AcceleratorConfig> configs = benchConfigs(16);
+    const std::vector<autoax::AcceleratorConfig> configs = benchConfigs(benchAccelerator(), 16);
     for (auto _ : state) {
         const std::vector<autoax::EvaluatedConfig> results = engine.evaluateBatch(configs);
         benchmark::DoNotOptimize(results.data());
@@ -311,13 +332,30 @@ static void BM_AutoAxQualityBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_AutoAxQualityBatch);
 
+/// The same batched evaluation over the Sobel accelerator (16 configs of
+/// its 27-point space x 2 scenes, memoization off).  items_per_second =
+/// config evaluations/sec.
+static void BM_SobelQualityBatch(benchmark::State& state) {
+    const std::vector<img::Image> scenes = {img::syntheticScene(64, 64, 0xA1),
+                                            img::syntheticScene(64, 64, 0xA2)};
+    autoax::EvalEngine engine(benchSobel(), scenes, {.memoize = false});
+    const std::vector<autoax::AcceleratorConfig> configs = benchConfigs(benchSobel(), 16);
+    for (auto _ : state) {
+        const std::vector<autoax::EvaluatedConfig> results = engine.evaluateBatch(configs);
+        benchmark::DoNotOptimize(results.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(configs.size()));
+}
+BENCHMARK(BM_SobelQualityBatch);
+
 /// The scalar reference path for the same work (one config x scene at a
 /// time, exact reference recomputed per call) — the engine speedup is
 /// BM_AutoAxQualityBatch / BM_AutoAxQualityScalar per item.
 static void BM_AutoAxQualityScalar(benchmark::State& state) {
     const std::vector<img::Image> scenes = {img::syntheticScene(64, 64, 0xA1),
                                             img::syntheticScene(64, 64, 0xA2)};
-    const std::vector<autoax::AcceleratorConfig> configs = benchConfigs(16);
+    const std::vector<autoax::AcceleratorConfig> configs = benchConfigs(benchAccelerator(), 16);
     for (auto _ : state) {
         for (const autoax::AcceleratorConfig& c : configs) {
             benchmark::DoNotOptimize(benchAccelerator().quality(c, scenes));

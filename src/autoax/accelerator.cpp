@@ -74,18 +74,14 @@ std::vector<std::uint16_t> GaussianAccelerator::buildTable(const Component& comp
     const CompiledNetlist compiled = CompiledNetlist::compile(component.netlist);
     BatchSimulator sim(compiled);
     std::vector<Word> in(16 * kBlockWords), out(compiled.outputCount() * kBlockWords);
+    const std::size_t kept = std::min<std::size_t>(compiled.outputCount(), 16);
+    std::array<std::uint32_t, kBlockLanes> products{};
     for (std::uint64_t base = 0; base < (1u << 16); base += kBlockLanes) {
         circuit::fillExhaustiveBlock(in, 16, base, kBlockWords);
         sim.evaluate(in, out);
-        for (std::size_t lane = 0; lane < kBlockLanes; ++lane) {
-            std::uint32_t value = 0;
-            for (std::size_t bit = 0; bit < out.size() / kBlockWords && bit < 16; ++bit)
-                value |= static_cast<std::uint32_t>((out[bit * kBlockWords + lane / 64] >>
-                                                     (lane % 64)) &
-                                                    1u)
-                         << bit;
-            table[base + lane] = static_cast<std::uint16_t>(value);
-        }
+        fromBitPlanes(out.data(), kept, products.data(), kBlockLanes);
+        std::copy(products.begin(), products.end(),
+                  table.begin() + static_cast<std::ptrdiff_t>(base));
     }
     if (cache != nullptr) {
         std::vector<std::uint8_t> bytes(2 * table.size());
@@ -99,18 +95,25 @@ std::vector<std::uint16_t> GaussianAccelerator::buildTable(const Component& comp
 }
 
 /// Per-thread evaluation scratch: one rebindable simulator workspace per
-/// adder-tree node plus the shared input/output word blocks.  Rebinding to
-/// the node's program is free when consecutive configs agree on it, so a
-/// workspace held across a batch amortizes to zero setup.
+/// adder-tree node, each node's 32 input planes (operand A then B), and
+/// the output planes of the node being evaluated.  Rebinding to the node's
+/// program is free when consecutive configs agree on it, so a workspace
+/// held across a batch amortizes to zero setup.
 struct GaussianAccelerator::WorkspaceImpl : AcceleratorModel::Workspace {
     std::vector<BatchSimulator> sims;  ///< one per adder-tree node, lazily built
-    std::vector<Word> inWords;
+    std::vector<Word> nodeInputs;      ///< kAdderSlots x 32 planes
     std::vector<Word> outWords;
+
+    Word* operand(int node, int side) {
+        return nodeInputs.data() + (static_cast<std::size_t>(node) * 32 +
+                                    static_cast<std::size_t>(side) * 16) *
+                                       kBlockWords;
+    }
 };
 
 std::unique_ptr<AcceleratorModel::Workspace> GaussianAccelerator::makeWorkspace() const {
     auto ws = std::make_unique<WorkspaceImpl>();
-    ws->inWords.resize(32 * kBlockWords);
+    ws->nodeInputs.resize(static_cast<std::size_t>(kAdderSlots) * 32 * kBlockWords);
     return ws;
 }
 
@@ -134,55 +137,57 @@ img::Image GaussianAccelerator::filter(const img::Image& input, const Accelerato
     }
     if (ws.outWords.size() < maxOutputs * kBlockWords) ws.outWords.resize(maxOutputs * kBlockWords);
 
+    // Row `coeff` of each tap's multiplier table: entry `pix` is the
+    // product pix * coeff.
     const std::array<int, 9>& weights = kernelWeights();
+    std::array<const std::uint16_t*, 9> tapTable{};
+    for (int slot = 0; slot < kMultiplierSlots; ++slot)
+        tapTable[static_cast<std::size_t>(slot)] =
+            multTables_[static_cast<std::size_t>(config.choice[multiplierSlot(slot)])].data() +
+            (static_cast<std::size_t>(weights[static_cast<std::size_t>(slot)]) << 8);
+
+    // Node `node` < 7 feeds operand (node % 2) of node kParent[node]; the
+    // center-tap product is node 7's operand B.
+    static constexpr std::array<int, 7> kParent = {4, 4, 5, 5, 6, 6, 7};
+
     img::Image output(input.width(), input.height());
     const std::size_t total = input.pixelCount();
-
     std::array<std::array<std::uint32_t, kBlockLanes>, 9> products{};
-    std::array<std::uint32_t, kBlockLanes> l1a{}, l1b{}, l1c{}, l1d{}, l2a{}, l2b{}, l3{}, sum{};
+    std::array<std::uint32_t, kBlockLanes> sum{};
 
     for (std::size_t base = 0; base < total; base += kBlockLanes) {
         const std::size_t lanes = std::min<std::size_t>(kBlockLanes, total - base);
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-            const std::size_t pixel = base + lane;
-            const int x = static_cast<int>(pixel % static_cast<std::size_t>(input.width()));
-            const int y = static_cast<int>(pixel / static_cast<std::size_t>(input.width()));
-            int slot = 0;
-            for (int dy = -1; dy <= 1; ++dy) {
-                for (int dx = -1; dx <= 1; ++dx, ++slot) {
-                    const std::uint32_t pix = input.atClamped(x + dx, y + dy);
-                    const std::uint32_t coeff = static_cast<std::uint32_t>(
-                        weights[static_cast<std::size_t>(slot)]);
-                    const std::size_t tableIdx = static_cast<std::size_t>(
-                        config.choice[multiplierSlot(slot)]);
-                    products[static_cast<std::size_t>(slot)][lane] =
-                        multTables_[tableIdx][pix | (coeff << 8)];
-                }
-            }
-        }
-        const auto add = [&](int node, const std::array<std::uint32_t, kBlockLanes>& a,
-                             const std::array<std::uint32_t, kBlockLanes>& b,
-                             std::array<std::uint32_t, kBlockLanes>& out) {
-            BatchSimulator& sim = ws.sims[static_cast<std::size_t>(node)];
-            batchAdd16Wide(sim, a.data(), b.data(), out.data(), lanes, ws.inWords,
-                           ws.outWords);
-        };
-        add(0, products[0], products[1], l1a);
-        add(1, products[2], products[3], l1b);
-        add(2, products[4], products[5], l1c);
-        add(3, products[6], products[7], l1d);
-        add(4, l1a, l1b, l2a);
-        add(5, l1c, l1d, l2b);
-        add(6, l2a, l2b, l3);
-        add(7, l3, products[8], sum);
+        forEachNeighbourhood(input, base, lanes,
+                             [&](std::size_t lane, const std::array<std::uint8_t, 9>& taps) {
+                                 for (std::size_t slot = 0; slot < 9; ++slot)
+                                     products[slot][lane] = tapTable[slot][taps[slot]];
+                             });
+        for (int slot = 0; slot < 8; ++slot)
+            toBitPlanes(products[static_cast<std::size_t>(slot)].data(), lanes,
+                        ws.operand(slot / 2, slot % 2));
+        toBitPlanes(products[8].data(), lanes, ws.operand(7, 1));
 
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-            const std::size_t pixel = base + lane;
-            const int x = static_cast<int>(pixel % static_cast<std::size_t>(input.width()));
-            const int y = static_cast<int>(pixel / static_cast<std::size_t>(input.width()));
-            const std::uint32_t rounded = std::min<std::uint32_t>(255u, sum[lane] >> 4);
-            output.set(x, y, static_cast<std::uint8_t>(rounded));
+        // The tree stays in bit planes: a node's first 16 output planes are
+        // its carry-out truncated to the next adder's 16-bit interface.
+        // Returns the node's output count; its planes are in ws.outWords.
+        const auto evaluate = [&](int node) {
+            BatchSimulator& sim = ws.sims[static_cast<std::size_t>(node)];
+            const std::size_t outputs = sim.compiled().outputCount();
+            sim.evaluate({ws.operand(node, 0), 32 * kBlockWords},
+                         {ws.outWords.data(), outputs * kBlockWords});
+            return outputs;
+        };
+        for (int node = 0; node + 1 < kAdderSlots; ++node) {
+            const std::size_t kept = std::min<std::size_t>(evaluate(node), 16) * kBlockWords;
+            Word* next = ws.operand(kParent[static_cast<std::size_t>(node)], node % 2);
+            std::copy_n(ws.outWords.data(), kept, next);
+            std::fill(next + kept, next + 16 * kBlockWords, Word{0});
         }
+        fromBitPlanes(ws.outWords.data(), evaluate(kAdderSlots - 1), sum.data(), lanes);
+
+        std::uint8_t* const out = output.pixels().data() + base;
+        for (std::size_t lane = 0; lane < lanes; ++lane)
+            out[lane] = static_cast<std::uint8_t>(std::min<std::uint32_t>(255u, sum[lane] >> 4));
     }
     return output;
 }

@@ -13,7 +13,10 @@ namespace axf::autoax {
 
 /// 3x3 Gaussian-blur hardware accelerator (kernel [1 2 1; 2 4 2; 1 2 1]/16)
 /// built from approximate components.  Evaluates the behavioural model
-/// bit-parallel (256 pixels per sweep) and composes hardware costs.
+/// bit-sliced, `circuit::kBlockLanes` (1,024) pixels per block: the nine
+/// products are transposed into bit planes once and the whole adder tree
+/// runs on planes, only the root's sum returning to per-pixel integers.
+/// Composes hardware costs.
 ///
 /// Configuration slots (see `configSpace()`): choices 0..8 pick the
 /// multiplier of the 9 kernel taps (row-major), choices 9..16 pick the

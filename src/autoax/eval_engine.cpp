@@ -18,7 +18,8 @@ struct EvalMetrics {
     obs::Counter& evaluated = obs::Registry::global().counter("eval.configs_evaluated");
     obs::Counter& memoHits = obs::Registry::global().counter("eval.memo_hits");
     obs::Histogram& batchSeconds = obs::Registry::global().histogram("eval.batch_seconds");
-    obs::Histogram& sceneSeconds = obs::Registry::global().histogram("eval.scene_seconds");
+    obs::Histogram& filterSeconds = obs::Registry::global().histogram("eval.filter_seconds");
+    obs::Histogram& ssimSeconds = obs::Registry::global().histogram("eval.ssim_seconds");
 };
 
 EvalMetrics& evalMetrics() {
@@ -120,11 +121,15 @@ std::vector<EvaluatedConfig> EvalEngine::evaluateBatch(
         [&](std::size_t item) {
             const std::size_t ci = item / sceneCount;
             const std::size_t si = item % sceneCount;
-            obs::ScopedTimer sceneTimer(evalMetrics().sceneSeconds);
             std::unique_ptr<AcceleratorModel::Workspace> ws = workspaces_->acquire();
-            const img::Image out = model_.filter(scenes_[si], *fresh[ci], *ws);
-            grid[item] = ssimRefs_[si].compare(out);
+            img::Image out;
+            {
+                obs::ScopedTimer filterTimer(evalMetrics().filterSeconds);
+                out = model_.filter(scenes_[si], *fresh[ci], *ws);
+            }
             workspaces_->release(std::move(ws));
+            obs::ScopedTimer ssimTimer(evalMetrics().ssimSeconds);
+            grid[item] = ssimRefs_[si].compare(out);
         },
         options_.threads, options_.cancel);
 

@@ -1,8 +1,8 @@
 #include "src/autoax/model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "src/img/ssim.hpp"
@@ -123,53 +123,103 @@ double AcceleratorModel::quality(const AcceleratorConfig& config,
     return acc / static_cast<double>(scenes.size());
 }
 
+namespace {
+
+/// Transposes the 8x8 bit matrix held in `x`, byte `r` being row `r`: bit
+/// 8r + c moves to bit 8c + r (Hacker's Delight, section 7-3).
+constexpr std::uint64_t transpose8x8(std::uint64_t x) {
+    x = (x & 0xAA55AA55AA55AA55ull) | ((x & 0x00AA00AA00AA00AAull) << 7) |
+        ((x >> 7) & 0x00AA00AA00AA00AAull);
+    x = (x & 0xCCCC3333CCCC3333ull) | ((x & 0x0000CCCC0000CCCCull) << 14) |
+        ((x >> 14) & 0x0000CCCC0000CCCCull);
+    x = (x & 0xF0F0F0F00F0F0F0Full) | ((x & 0x00000000F0F0F0F0ull) << 28) |
+        ((x >> 28) & 0x00000000F0F0F0F0ull);
+    return x;
+}
+
+}  // namespace
+
+// Both directions work on one 64-lane word column at a time, in 8x8 tiles
+// of 8 lanes by 8 bit positions: one `transpose8x8` per tile turns lane
+// bytes into plane bytes and back.
+
+void toBitPlanes(const std::uint32_t* lanes, std::size_t count, Word* planes) {
+    constexpr std::size_t words = circuit::kBlockWords;
+    std::array<std::uint32_t, 64> tail{};
+    for (std::size_t w = 0; w < words; ++w) {
+        const std::size_t first = w * 64;
+        const std::uint32_t* src = tail.data();
+        if (first + 64 <= count) {
+            src = lanes + first;
+        } else {
+            // Partial (or empty) word: read through a zero-padded copy.
+            tail.fill(0);
+            if (first < count) std::copy(lanes + first, lanes + count, tail.begin());
+        }
+        // Lanes 8g .. 8g + 7 give two tiles (low and high operand byte);
+        // transposed, byte j of each holds bit j (resp. 8 + j) of the 8
+        // lanes, which is byte g of that plane's word.
+        std::array<Word, 16> plane{};
+        for (std::size_t g = 0; g < 8; ++g) {
+            std::uint64_t lo = 0, hi = 0;
+            for (std::size_t i = 0; i < 8; ++i) {
+                const std::uint32_t v = src[8 * g + i];
+                lo |= static_cast<std::uint64_t>(v & 0xFFu) << (8 * i);
+                hi |= static_cast<std::uint64_t>((v >> 8) & 0xFFu) << (8 * i);
+            }
+            lo = transpose8x8(lo);
+            hi = transpose8x8(hi);
+            for (std::size_t j = 0; j < 8; ++j) {
+                plane[j] |= ((lo >> (8 * j)) & 0xFFu) << (8 * g);
+                plane[8 + j] |= ((hi >> (8 * j)) & 0xFFu) << (8 * g);
+            }
+        }
+        for (std::size_t bit = 0; bit < 16; ++bit) planes[bit * words + w] = plane[bit];
+    }
+}
+
+void fromBitPlanes(const Word* planes, std::size_t planeCount, std::uint32_t* lanes,
+                   std::size_t count) {
+    if (planeCount > 32) throw std::invalid_argument("fromBitPlanes: more than 32 planes");
+    constexpr std::size_t words = circuit::kBlockWords;
+    for (std::size_t first = 0; first < count; first += 64) {
+        const std::size_t w = first / 64;
+        std::array<std::uint32_t, 64> value{};
+        for (std::size_t chunk = 0; 8 * chunk < planeCount; ++chunk) {
+            // Byte g of planes 8 * chunk .. + 7 (missing ones read as zero)
+            // is a tile whose transpose holds byte `chunk` of lanes
+            // 8g .. 8g + 7.
+            std::array<Word, 8> row{};
+            for (std::size_t j = 0; j < 8 && 8 * chunk + j < planeCount; ++j)
+                row[j] = planes[(8 * chunk + j) * words + w];
+            for (std::size_t g = 0; g < 8; ++g) {
+                std::uint64_t x = 0;
+                for (std::size_t j = 0; j < 8; ++j) x |= ((row[j] >> (8 * g)) & 0xFFu) << (8 * j);
+                x = transpose8x8(x);
+                for (std::size_t i = 0; i < 8; ++i)
+                    value[8 * g + i] |= static_cast<std::uint32_t>((x >> (8 * i)) & 0xFFu)
+                                        << (8 * chunk);
+            }
+        }
+        std::copy_n(value.begin(), std::min<std::size_t>(64, count - first), lanes + first);
+    }
+}
+
 void batchAdd16Wide(BatchSimulator& sim, const std::uint32_t* a, const std::uint32_t* b,
                     std::uint32_t* out, std::size_t lanes, std::span<Word> inWords,
                     std::span<Word> outWords) {
     // Callers may tile their lane arrays at any granularity (typically one
     // block).  Pure integer bit-sliced evaluation — results are independent
-    // of the tiling.
+    // of the tiling.  Operand A fills input planes 0..15, B planes 16..31;
+    // `toBitPlanes` keeps only the 16 interface bits of each operand.
     constexpr std::size_t words = circuit::kBlockWords;
     const std::size_t outputs = sim.compiled().outputCount();
     for (std::size_t blockBase = 0; blockBase < lanes; blockBase += circuit::kBlockLanes) {
         const std::size_t blockCount = std::min(circuit::kBlockLanes, lanes - blockBase);
-        std::memset(inWords.data(), 0, 32 * words * sizeof(Word));
-        for (std::size_t lane = 0; lane < blockCount; ++lane) {
-            const Word laneBit = Word{1} << (lane % 64);
-            const std::size_t w = lane / 64;
-            // Operands truncate to the adder's 16-bit interface.  Inputs can
-            // carry 17-bit values (a previous level's carry-out); without the
-            // mask, bit 16 of `a` would alias operand B's LSB and bit 16 of
-            // `b` would index past the input block.
-            std::uint32_t va = a[blockBase + lane] & 0xFFFFu;
-            while (va != 0) {
-                const int bit = __builtin_ctz(va);
-                inWords[static_cast<std::size_t>(bit) * words + w] |= laneBit;
-                va &= va - 1;
-            }
-            std::uint32_t vb = b[blockBase + lane] & 0xFFFFu;
-            while (vb != 0) {
-                const int bit = __builtin_ctz(vb);
-                inWords[static_cast<std::size_t>(16 + bit) * words + w] |= laneBit;
-                vb &= vb - 1;
-            }
-        }
+        toBitPlanes(a + blockBase, blockCount, inWords.data());
+        toBitPlanes(b + blockBase, blockCount, inWords.data() + 16 * words);
         sim.evaluate(inWords.subspan(0, 32 * words), outWords.subspan(0, outputs * words));
-        std::uint32_t* const outBlock = out + blockBase;
-        std::memset(outBlock, 0, blockCount * sizeof(std::uint32_t));
-        for (std::size_t bit = 0; bit < outputs; ++bit) {
-            const std::uint32_t weight = std::uint32_t{1} << bit;
-            for (std::size_t w = 0; w * 64 < blockCount; ++w) {
-                Word word = outWords[bit * words + w];
-                const std::size_t laneBase = w * 64;
-                while (word != 0) {
-                    const int lane = __builtin_ctzll(word);
-                    const std::size_t idx = laneBase + static_cast<std::size_t>(lane);
-                    if (idx < blockCount) outBlock[idx] |= weight;
-                    word &= word - 1;
-                }
-            }
-        }
+        fromBitPlanes(outWords.data(), outputs, out + blockBase, blockCount);
     }
 }
 

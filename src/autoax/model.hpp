@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -141,17 +143,68 @@ public:
     double designSpaceSize() const { return configSpace().designSpaceSize(); }
 };
 
+/// Block transposes between per-lane integers and bit planes, the layout
+/// the compiled engine evaluates: plane `b` is `circuit::kBlockWords`
+/// words holding bit `b` of every lane, lane `i` at bit `i % 64` of word
+/// `i / 64`, planes stored back to back.  Both are built from the 8x8
+/// bit-matrix transpose on a 64-bit word, so they are branch-free and need
+/// no intrinsics.
+///
+/// `toBitPlanes` writes bits 0..15 of `lanes[0, count)` as 16 planes
+/// (16 * kBlockWords words from `planes`); higher lane bits are ignored and
+/// lanes `count..kBlockLanes` read as zero.  Requires count <= kBlockLanes.
+void toBitPlanes(const std::uint32_t* lanes, std::size_t count,
+                 circuit::CompiledNetlist::Word* planes);
+
+/// `fromBitPlanes` reads `planeCount` <= 32 planes and writes
+/// `lanes[0, count)`, lane bit `b` taken from plane `b`.  Requires
+/// count <= kBlockLanes; throws std::invalid_argument for more than 32
+/// planes.
+void fromBitPlanes(const circuit::CompiledNetlist::Word* planes, std::size_t planeCount,
+                   std::uint32_t* lanes, std::size_t count);
+
 /// Applies a 16-bit adder (via its bound simulator) to any number of
 /// operand pairs on the compiled engine, swept internally in blocks of
-/// `circuit::kBlockLanes`.  Shared by the accelerator behavioural models
-/// and reusable for custom accelerators.  `inWords` / `outWords` are
-/// caller-owned blocks of at least 32 * kBlockWords and outputCount *
-/// kBlockWords words; nothing allocates.  Operands truncate to the adder's
-/// 16-bit interface (inputs may carry a previous level's carry-out in
-/// bit 16).
+/// `circuit::kBlockLanes`: each block of operands is transposed into bit
+/// planes, evaluated, and the adder's outputs transposed back.  Shared by
+/// the accelerator behavioural models whose datapath leaves the bit-plane
+/// domain between adders, and reusable for custom accelerators.
+/// `inWords` / `outWords` are caller-owned blocks of at least
+/// 32 * kBlockWords and outputCount * kBlockWords words; nothing allocates.
+/// Operands truncate to the adder's 16-bit interface (inputs may carry a
+/// previous level's carry-out in bit 16).
 void batchAdd16Wide(circuit::BatchSimulator& sim, const std::uint32_t* a,
                     const std::uint32_t* b, std::uint32_t* out, std::size_t lanes,
                     std::span<circuit::CompiledNetlist::Word> inWords,
                     std::span<circuit::CompiledNetlist::Word> outWords);
+
+/// Calls `fn(lane, taps)` for the pixels `first .. first + count` of
+/// `image` in row-major order, `lane` counting from 0.  `taps` is the 3x3
+/// neighbourhood in row-major order (`taps[3 * (dy + 1) + (dx + 1)]` is
+/// the pixel at offset (dx, dy)) with border replication, the same values
+/// as `Image::atClamped`.
+template <class Fn>
+void forEachNeighbourhood(const img::Image& image, std::size_t first, std::size_t count,
+                          Fn&& fn) {
+    const std::size_t width = static_cast<std::size_t>(image.width());
+    const std::size_t lastRow = static_cast<std::size_t>(image.height()) - 1;
+    const std::uint8_t* const pixels = image.pixels().data();
+    std::size_t x = first % width;
+    std::size_t y = first / width;
+    std::array<std::uint8_t, 9> taps{};
+    for (std::size_t lane = 0; lane < count; ++lane) {
+        const std::uint8_t* const rows[3] = {pixels + (y == 0 ? 0 : y - 1) * width,
+                                             pixels + y * width,
+                                             pixels + std::min(y + 1, lastRow) * width};
+        const std::size_t cols[3] = {x == 0 ? 0 : x - 1, x, std::min(x + 1, width - 1)};
+        for (std::size_t r = 0; r < 3; ++r)
+            for (std::size_t c = 0; c < 3; ++c) taps[3 * r + c] = rows[r][cols[c]];
+        fn(lane, taps);
+        if (++x == width) {
+            x = 0;
+            ++y;
+        }
+    }
+}
 
 }  // namespace axf::autoax

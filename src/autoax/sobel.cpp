@@ -85,22 +85,21 @@ img::Image SobelAccelerator::filter(const img::Image& input, const AcceleratorCo
 
     for (std::size_t base = 0; base < total; base += kBlockLanes) {
         const std::size_t lanes = std::min<std::size_t>(kBlockLanes, total - base);
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-            const std::size_t pixel = base + lane;
-            const int x = static_cast<int>(pixel % static_cast<std::size_t>(input.width()));
-            const int y = static_cast<int>(pixel / static_cast<std::size_t>(input.width()));
-            const auto p = [&](int dx, int dy) {
-                return static_cast<std::uint32_t>(input.atClamped(x + dx, y + dy));
-            };
-            // gx = (p(1,-1)+2p(1,0)+p(1,1)) - (p(-1,-1)+2p(-1,0)+p(-1,1));
-            // the 1-2-1 accumulations are shift-adds (exact in hardware),
-            // the wide subtraction is the approximate adder as
-            // a + (~b) + 1 with the +1 folded into the bias term.
-            ax[lane] = p(1, -1) + 2 * p(1, 0) + p(1, 1) + kBias;
-            bx[lane] = (~(p(-1, -1) + 2 * p(-1, 0) + p(-1, 1)) + 1) & 0xFFFFu;
-            ay[lane] = p(-1, 1) + 2 * p(0, 1) + p(1, 1) + kBias;
-            by[lane] = (~(p(-1, -1) + 2 * p(0, -1) + p(1, -1)) + 1) & 0xFFFFu;
-        }
+        forEachNeighbourhood(
+            input, base, lanes, [&](std::size_t lane, const std::array<std::uint8_t, 9>& taps) {
+                const auto p = [&](int dx, int dy) {
+                    return static_cast<std::uint32_t>(
+                        taps[static_cast<std::size_t>(3 * (dy + 1) + dx + 1)]);
+                };
+                // gx = (p(1,-1)+2p(1,0)+p(1,1)) - (p(-1,-1)+2p(-1,0)+p(-1,1));
+                // the 1-2-1 accumulations are shift-adds (exact in hardware),
+                // the wide subtraction is the approximate adder as
+                // a + (~b) + 1 with the +1 folded into the bias term.
+                ax[lane] = p(1, -1) + 2 * p(1, 0) + p(1, 1) + kBias;
+                bx[lane] = (~(p(-1, -1) + 2 * p(-1, 0) + p(-1, 1)) + 1) & 0xFFFFu;
+                ay[lane] = p(-1, 1) + 2 * p(0, 1) + p(1, 1) + kBias;
+                by[lane] = (~(p(-1, -1) + 2 * p(0, -1) + p(1, -1)) + 1) & 0xFFFFu;
+            });
         add(0, ax, bx, gx, lanes);
         add(1, ay, by, gy, lanes);
         for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -110,13 +109,10 @@ img::Image SobelAccelerator::filter(const img::Image& input, const AcceleratorCo
             ady[lane] = static_cast<std::uint32_t>(std::abs(dy)) & 0xFFFFu;
         }
         add(2, adx, ady, mag, lanes);
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-            const std::size_t pixel = base + lane;
-            output.set(static_cast<int>(pixel % static_cast<std::size_t>(input.width())),
-                       static_cast<int>(pixel / static_cast<std::size_t>(input.width())),
-                       static_cast<std::uint8_t>(
-                           std::min<std::uint32_t>(255u, (mag[lane] & 0xFFFFu) / 4)));
-        }
+        std::uint8_t* const out = output.pixels().data() + base;
+        for (std::size_t lane = 0; lane < lanes; ++lane)
+            out[lane] = static_cast<std::uint8_t>(
+                std::min<std::uint32_t>(255u, (mag[lane] & 0xFFFFu) / 4));
     }
     return output;
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 
 #include "src/autoax/accelerator.hpp"
@@ -178,6 +179,159 @@ TEST(BatchAdd16, MatchesScalarSimulation) {
         const std::uint64_t packed = static_cast<std::uint64_t>(a[lane] & 0xFFFFu) |
                                      (static_cast<std::uint64_t>(b[lane] & 0xFFFFu) << 16);
         ASSERT_EQ(out[lane], scalarSim.evaluateScalar(packed)) << "lane " << lane;
+    }
+}
+
+using Word = circuit::CompiledNetlist::Word;
+constexpr std::size_t kWords = circuit::kBlockWords;
+
+/// Per-bit reference for `toBitPlanes`: bit b of lane i lands at bit i % 64
+/// of word b * kBlockWords + i / 64; higher lane bits are dropped.
+std::vector<Word> naiveToBitPlanes(const std::vector<std::uint32_t>& lanes, std::size_t count) {
+    std::vector<Word> planes(16 * kWords, 0);
+    for (std::size_t lane = 0; lane < count; ++lane)
+        for (std::size_t bit = 0; bit < 16; ++bit)
+            if ((lanes[lane] >> bit) & 1u)
+                planes[bit * kWords + lane / 64] |= Word{1} << (lane % 64);
+    return planes;
+}
+
+std::uint32_t naiveLaneFromPlanes(const std::vector<Word>& planes, std::size_t planeCount,
+                                  std::size_t lane) {
+    std::uint32_t value = 0;
+    for (std::size_t bit = 0; bit < planeCount; ++bit)
+        value |= static_cast<std::uint32_t>((planes[bit * kWords + lane / 64] >> (lane % 64)) & 1u)
+                 << bit;
+    return value;
+}
+
+constexpr std::size_t kLaneCounts[] = {0, 1, 63, 64, 65, 1023, 1024};
+
+TEST(BitPlanes, ToBitPlanesMatchesPerBitReference) {
+    static_assert(circuit::kBlockLanes == 1024);
+    util::Rng rng(0x7B);
+    for (std::size_t count : kLaneCounts) {
+        // Full 32-bit lane values: bits 16..31 must not leak into planes.
+        std::vector<std::uint32_t> lanes(count);
+        for (std::uint32_t& v : lanes) v = static_cast<std::uint32_t>(rng.engine()());
+        std::vector<Word> planes(16 * kWords, ~Word{0});  // stale contents get overwritten
+        toBitPlanes(lanes.data(), count, planes.data());
+        EXPECT_EQ(planes, naiveToBitPlanes(lanes, count)) << count << " lanes";
+    }
+}
+
+TEST(BitPlanes, FromBitPlanesMatchesPerBitReference) {
+    util::Rng rng(0x7C);
+    for (std::size_t planeCount : {16u, 17u, 32u}) {
+        for (std::size_t count : kLaneCounts) {
+            // Planes beyond `planeCount` are random too: they must be ignored.
+            std::vector<Word> planes(32 * kWords);
+            for (Word& w : planes) w = rng.engine()();
+            constexpr std::uint32_t kSentinel = 0xDEADBEEFu;
+            std::vector<std::uint32_t> lanes(circuit::kBlockLanes, kSentinel);
+            fromBitPlanes(planes.data(), planeCount, lanes.data(), count);
+            for (std::size_t lane = 0; lane < circuit::kBlockLanes; ++lane)
+                ASSERT_EQ(lanes[lane], lane < count ? naiveLaneFromPlanes(planes, planeCount, lane)
+                                                    : kSentinel)
+                    << planeCount << " planes, " << count << " lanes, lane " << lane;
+        }
+    }
+    std::vector<Word> planes(33 * kWords);
+    std::vector<std::uint32_t> lanes(64);
+    EXPECT_THROW(fromBitPlanes(planes.data(), 33, lanes.data(), 64), std::invalid_argument);
+}
+
+TEST(BitPlanes, RoundTripKeepsSixteenBits) {
+    util::Rng rng(0x7D);
+    for (std::size_t count : kLaneCounts) {
+        std::vector<std::uint32_t> lanes(count);
+        for (std::uint32_t& v : lanes) v = static_cast<std::uint32_t>(rng.engine()());
+        std::vector<Word> planes(16 * kWords);
+        toBitPlanes(lanes.data(), count, planes.data());
+        std::vector<std::uint32_t> back(count);
+        fromBitPlanes(planes.data(), 16, back.data(), count);
+        for (std::size_t lane = 0; lane < count; ++lane)
+            ASSERT_EQ(back[lane], lanes[lane] & 0xFFFFu) << count << " lanes, lane " << lane;
+    }
+}
+
+/// A menu entry carrying only what the behavioural model reads.
+Component bareComponent(circuit::Netlist netlist, circuit::ArithSignature sig) {
+    Component c;
+    c.name = netlist.name();
+    c.signature = sig;
+    c.netlist = std::move(netlist);
+    return c;
+}
+
+TEST(GaussianAccelerator, ApproximateConfigsMatchScalarOracle) {
+    // Every pixel of random approximate configurations recomputed with one
+    // scalar simulation per component: products from the multiplier
+    // netlists, each adder-tree level fed the previous level's outputs
+    // masked to the adders' 16-bit interface.  97x53 = 5 full blocks plus
+    // a 21-lane tail.
+    std::vector<Component> mults;
+    const circuit::ArithSignature mulSig = gen::multiplierSignature(8);
+    mults.push_back(bareComponent(gen::wallaceMultiplier(8), mulSig));
+    mults.push_back(bareComponent(gen::truncatedMultiplier(8, 5), mulSig));
+    mults.push_back(bareComponent(gen::brokenArrayMultiplier(8, 6, 2), mulSig));
+    mults.push_back(bareComponent(gen::kulkarniMultiplier(8), mulSig));
+    mults.push_back(bareComponent(gen::approxCompressorMultiplier(8, 6), mulSig));
+    mults.push_back(bareComponent(gen::drumMultiplier(8, 4), mulSig));
+    std::vector<Component> adds;
+    const circuit::ArithSignature addSig = gen::adderSignature(16);
+    adds.push_back(bareComponent(gen::rippleCarryAdder(16), addSig));
+    adds.push_back(bareComponent(gen::loaAdder(16, 6), addSig));
+    adds.push_back(bareComponent(gen::truncatedAdder(16, 5), addSig));
+    adds.push_back(bareComponent(gen::etaAdder(16, 7), addSig));
+    adds.push_back(bareComponent(gen::acaAdder(16, 4), addSig));
+    adds.push_back(
+        bareComponent(gen::approxCellAdder(16, 6, gen::ApproxFaKind::OrSum), addSig));
+    const GaussianAccelerator accel(std::move(mults), std::move(adds));
+
+    // Scalar products per (multiplier, coefficient, pixel), simulated once.
+    const std::array<int, 9>& weights = GaussianAccelerator::kernelWeights();
+    std::vector<std::array<std::array<std::uint32_t, 256>, 5>> product(
+        accel.multiplierMenu().size());
+    for (std::size_t m = 0; m < product.size(); ++m) {
+        circuit::Simulator sim(accel.multiplierMenu()[m].netlist);
+        for (int coeff : {1, 2, 4})
+            for (std::uint32_t pix = 0; pix < 256; ++pix)
+                product[m][static_cast<std::size_t>(coeff)][pix] = static_cast<std::uint32_t>(
+                    sim.evaluateScalar(pix | (static_cast<std::uint64_t>(coeff) << 8)) & 0xFFFFu);
+    }
+    std::vector<circuit::Simulator> adderSims;
+    for (const Component& c : accel.adderMenu()) adderSims.emplace_back(c.netlist);
+
+    const img::Image scene = img::syntheticScene(97, 53, 0x0AC1E);
+    util::Rng rng(0x0AC1E);
+    std::unique_ptr<AcceleratorModel::Workspace> ws = accel.makeWorkspace();
+    for (int trial = 0; trial < 60; ++trial) {
+        const AcceleratorConfig config = accel.configSpace().randomConfig(rng);
+        const auto add = [&](int node, std::uint32_t a, std::uint32_t b) {
+            circuit::Simulator& sim = adderSims[static_cast<std::size_t>(
+                config.choice[GaussianAccelerator::adderSlot(node)])];
+            return static_cast<std::uint32_t>(sim.evaluateScalar(
+                (a & 0xFFFFu) | (static_cast<std::uint64_t>(b & 0xFFFFu) << 16)));
+        };
+        const img::Image out = accel.filter(scene, config, *ws);
+        for (int y = 0; y < scene.height(); ++y) {
+            for (int x = 0; x < scene.width(); ++x) {
+                std::array<std::uint32_t, 9> p{};
+                for (int slot = 0; slot < 9; ++slot) {
+                    const std::size_t s = static_cast<std::size_t>(slot);
+                    const std::size_t m = static_cast<std::size_t>(
+                        config.choice[GaussianAccelerator::multiplierSlot(slot)]);
+                    p[s] = product[m][static_cast<std::size_t>(weights[s])]
+                                  [scene.atClamped(x + slot % 3 - 1, y + slot / 3 - 1)];
+                }
+                const std::uint32_t l2a = add(4, add(0, p[0], p[1]), add(1, p[2], p[3]));
+                const std::uint32_t l2b = add(5, add(2, p[4], p[5]), add(3, p[6], p[7]));
+                const std::uint32_t sum = add(7, add(6, l2a, l2b), p[8]);
+                ASSERT_EQ(out.at(x, y), std::min<std::uint32_t>(255u, sum >> 4))
+                    << "trial " << trial << " pixel (" << x << ", " << y << ")";
+            }
+        }
     }
 }
 

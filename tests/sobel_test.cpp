@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "src/autoax/dse.hpp"
 #include "src/autoax/sobel.hpp"
+#include "src/circuit/simulator.hpp"
 #include "src/error/error_metrics.hpp"
 #include "src/gen/adders.hpp"
 #include "src/synth/fpga.hpp"
@@ -62,6 +65,60 @@ TEST(SobelAccelerator, ExactConfigMatchesReference) {
     const AcceleratorConfig exact = sobel().configSpace().accurateCorner();
     EXPECT_EQ(sobel().filter(scene, exact).pixels(), sobel().filterExact(scene).pixels());
     EXPECT_DOUBLE_EQ(sobel().quality(exact, {scene}), 1.0);
+}
+
+TEST(SobelAccelerator, ApproximateConfigsMatchScalarOracle) {
+    // Every pixel of random approximate configurations recomputed with one
+    // scalar simulation per adder, operands masked to the 16-bit interface
+    // at each adder: gx and gy as biased two's-complement subtractions,
+    // then |gx| + |gy|.  97x53 = 5 full blocks plus a 21-lane tail.
+    std::vector<Component> menu;
+    for (circuit::Netlist net :
+         {gen::rippleCarryAdder(16), gen::loaAdder(16, 5), gen::truncatedAdder(16, 4),
+          gen::etaAdder(16, 6), gen::acaAdder(16, 5), gen::gearAdder(16, 4, 4),
+          gen::approxCellAdder(16, 5, gen::ApproxFaKind::XorNoCarry)}) {
+        Component c;
+        c.name = net.name();
+        c.signature = gen::adderSignature(16);
+        c.netlist = std::move(net);
+        menu.push_back(std::move(c));
+    }
+    const SobelAccelerator accel(std::move(menu));
+    std::vector<circuit::Simulator> sims;
+    for (const Component& c : accel.adderMenu()) sims.emplace_back(c.netlist);
+
+    constexpr int kBias = 1 << 12;  // keeps both gradient operands non-negative
+    const img::Image scene = img::syntheticScene(97, 53, 0x50B);
+    util::Rng rng(0x50B);
+    std::unique_ptr<AcceleratorModel::Workspace> ws = accel.makeWorkspace();
+    for (int trial = 0; trial < 60; ++trial) {
+        const AcceleratorConfig config = accel.configSpace().randomConfig(rng);
+        const auto add = [&](std::size_t slot, std::uint32_t a, std::uint32_t b) {
+            circuit::Simulator& sim = sims[static_cast<std::size_t>(config.choice[slot])];
+            return static_cast<std::uint32_t>(sim.evaluateScalar(
+                (a & 0xFFFFu) | (static_cast<std::uint64_t>(b & 0xFFFFu) << 16)));
+        };
+        const img::Image out = accel.filter(scene, config, *ws);
+        for (int y = 0; y < scene.height(); ++y) {
+            for (int x = 0; x < scene.width(); ++x) {
+                const auto p = [&](int dx, int dy) {
+                    return static_cast<std::uint32_t>(scene.atClamped(x + dx, y + dy));
+                };
+                const std::uint32_t gx =
+                    add(0, p(1, -1) + 2 * p(1, 0) + p(1, 1) + kBias,
+                        0u - (p(-1, -1) + 2 * p(-1, 0) + p(-1, 1)));
+                const std::uint32_t gy =
+                    add(1, p(-1, 1) + 2 * p(0, 1) + p(1, 1) + kBias,
+                        0u - (p(-1, -1) + 2 * p(0, -1) + p(1, -1)));
+                const int dx = static_cast<int>(gx & 0xFFFFu) - kBias;
+                const int dy = static_cast<int>(gy & 0xFFFFu) - kBias;
+                const std::uint32_t mag = add(2, static_cast<std::uint32_t>(std::abs(dx)),
+                                              static_cast<std::uint32_t>(std::abs(dy)));
+                ASSERT_EQ(out.at(x, y), std::min<std::uint32_t>(255u, (mag & 0xFFFFu) / 4))
+                    << "trial " << trial << " pixel (" << x << ", " << y << ")";
+            }
+        }
+    }
 }
 
 TEST(SobelAccelerator, EdgesDetected) {
