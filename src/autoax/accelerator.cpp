@@ -49,6 +49,10 @@ GaussianAccelerator::GaussianAccelerator(std::vector<Component> multiplierMenu,
     util::ThreadPool::global().parallelFor(adders_.size(), [&](std::size_t i) {
         adderCompiled_[i] = CompiledNetlist::compile(adders_[i].netlist);
     });
+    // The root's sum is decoded into 32-bit lanes.
+    for (const CompiledNetlist& compiled : adderCompiled_)
+        if (compiled.outputCount() > 32)
+            throw std::invalid_argument("GaussianAccelerator: adder with more than 32 outputs");
 }
 
 std::vector<std::uint16_t> GaussianAccelerator::buildTable(const Component& component,
@@ -75,13 +79,11 @@ std::vector<std::uint16_t> GaussianAccelerator::buildTable(const Component& comp
     BatchSimulator sim(compiled);
     std::vector<Word> in(16 * kBlockWords), out(compiled.outputCount() * kBlockWords);
     const std::size_t kept = std::min<std::size_t>(compiled.outputCount(), 16);
-    std::array<std::uint32_t, kBlockLanes> products{};
+    const circuit::kernels::Decode16Fn decode = compiled.backend().wide.decode16;
     for (std::uint64_t base = 0; base < (1u << 16); base += kBlockLanes) {
         circuit::fillExhaustiveBlock(in, 16, base, kBlockWords);
         sim.evaluate(in, out);
-        fromBitPlanes(out.data(), kept, products.data(), kBlockLanes);
-        std::copy(products.begin(), products.end(),
-                  table.begin() + static_cast<std::ptrdiff_t>(base));
+        decode(out.data(), kept, table.data() + base);
     }
     if (cache != nullptr) {
         std::vector<std::uint8_t> bytes(2 * table.size());
@@ -183,7 +185,9 @@ img::Image GaussianAccelerator::filter(const img::Image& input, const Accelerato
             std::copy_n(ws.outWords.data(), kept, next);
             std::fill(next + kept, next + 16 * kBlockWords, Word{0});
         }
-        fromBitPlanes(ws.outWords.data(), evaluate(kAdderSlots - 1), sum.data(), lanes);
+        const std::size_t rootOutputs = evaluate(kAdderSlots - 1);
+        ws.sims[static_cast<std::size_t>(kAdderSlots - 1)].compiled().backend().wide.decode32(
+            ws.outWords.data(), rootOutputs, sum.data());
 
         std::uint8_t* const out = output.pixels().data() + base;
         for (std::size_t lane = 0; lane < lanes; ++lane)

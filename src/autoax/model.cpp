@@ -139,9 +139,9 @@ constexpr std::uint64_t transpose8x8(std::uint64_t x) {
 
 }  // namespace
 
-// Both directions work on one 64-lane word column at a time, in 8x8 tiles
-// of 8 lanes by 8 bit positions: one `transpose8x8` per tile turns lane
-// bytes into plane bytes and back.
+// Works on one 64-lane word column at a time, in 8x8 tiles of 8 lanes by
+// 8 bit positions: one `transpose8x8` per tile turns lane bytes into plane
+// bytes.
 
 void toBitPlanes(const std::uint32_t* lanes, std::size_t count, Word* planes) {
     constexpr std::size_t words = circuit::kBlockWords;
@@ -178,33 +178,6 @@ void toBitPlanes(const std::uint32_t* lanes, std::size_t count, Word* planes) {
     }
 }
 
-void fromBitPlanes(const Word* planes, std::size_t planeCount, std::uint32_t* lanes,
-                   std::size_t count) {
-    if (planeCount > 32) throw std::invalid_argument("fromBitPlanes: more than 32 planes");
-    constexpr std::size_t words = circuit::kBlockWords;
-    for (std::size_t first = 0; first < count; first += 64) {
-        const std::size_t w = first / 64;
-        std::array<std::uint32_t, 64> value{};
-        for (std::size_t chunk = 0; 8 * chunk < planeCount; ++chunk) {
-            // Byte g of planes 8 * chunk .. + 7 (missing ones read as zero)
-            // is a tile whose transpose holds byte `chunk` of lanes
-            // 8g .. 8g + 7.
-            std::array<Word, 8> row{};
-            for (std::size_t j = 0; j < 8 && 8 * chunk + j < planeCount; ++j)
-                row[j] = planes[(8 * chunk + j) * words + w];
-            for (std::size_t g = 0; g < 8; ++g) {
-                std::uint64_t x = 0;
-                for (std::size_t j = 0; j < 8; ++j) x |= ((row[j] >> (8 * g)) & 0xFFu) << (8 * j);
-                x = transpose8x8(x);
-                for (std::size_t i = 0; i < 8; ++i)
-                    value[8 * g + i] |= static_cast<std::uint32_t>((x >> (8 * i)) & 0xFFu)
-                                        << (8 * chunk);
-            }
-        }
-        std::copy_n(value.begin(), std::min<std::size_t>(64, count - first), lanes + first);
-    }
-}
-
 void batchAdd16Wide(BatchSimulator& sim, const std::uint32_t* a, const std::uint32_t* b,
                     std::uint32_t* out, std::size_t lanes, std::span<Word> inWords,
                     std::span<Word> outWords) {
@@ -214,12 +187,16 @@ void batchAdd16Wide(BatchSimulator& sim, const std::uint32_t* a, const std::uint
     // `toBitPlanes` keeps only the 16 interface bits of each operand.
     constexpr std::size_t words = circuit::kBlockWords;
     const std::size_t outputs = sim.compiled().outputCount();
+    if (outputs > 32) throw std::invalid_argument("batchAdd16Wide: more than 32 adder outputs");
+    const circuit::kernels::Decode32Fn decode = sim.compiled().backend().wide.decode32;
+    std::array<std::uint32_t, circuit::kBlockLanes> sums;
     for (std::size_t blockBase = 0; blockBase < lanes; blockBase += circuit::kBlockLanes) {
         const std::size_t blockCount = std::min(circuit::kBlockLanes, lanes - blockBase);
         toBitPlanes(a + blockBase, blockCount, inWords.data());
         toBitPlanes(b + blockBase, blockCount, inWords.data() + 16 * words);
         sim.evaluate(inWords.subspan(0, 32 * words), outWords.subspan(0, outputs * words));
-        fromBitPlanes(outWords.data(), outputs, out + blockBase, blockCount);
+        decode(outWords.data(), outputs, sums.data());
+        std::copy_n(sums.begin(), blockCount, out + blockBase);
     }
 }
 

@@ -143,36 +143,32 @@ public:
     double designSpaceSize() const { return configSpace().designSpaceSize(); }
 };
 
-/// Block transposes between per-lane integers and bit planes, the layout
-/// the compiled engine evaluates: plane `b` is `circuit::kBlockWords`
-/// words holding bit `b` of every lane, lane `i` at bit `i % 64` of word
-/// `i / 64`, planes stored back to back.  Both are built from the 8x8
-/// bit-matrix transpose on a 64-bit word, so they are branch-free and need
-/// no intrinsics.
+/// Block transpose from per-lane integers to bit planes, the layout the
+/// compiled engine evaluates: plane `b` is `circuit::kBlockWords` words
+/// holding bit `b` of every lane, lane `i` at bit `i % 64` of word
+/// `i / 64`, planes stored back to back.  Built from the 8x8 bit-matrix
+/// transpose on a 64-bit word, so it is branch-free and needs no
+/// intrinsics.  The way back is the backend decoders
+/// (`kernels::Backend::wide.decode16` / `decode32`).
 ///
-/// `toBitPlanes` writes bits 0..15 of `lanes[0, count)` as 16 planes
-/// (16 * kBlockWords words from `planes`); higher lane bits are ignored and
-/// lanes `count..kBlockLanes` read as zero.  Requires count <= kBlockLanes.
+/// Writes bits 0..15 of `lanes[0, count)` as 16 planes (16 * kBlockWords
+/// words from `planes`); higher lane bits are ignored and lanes
+/// `count..kBlockLanes` read as zero.  Requires count <= kBlockLanes.
 void toBitPlanes(const std::uint32_t* lanes, std::size_t count,
                  circuit::CompiledNetlist::Word* planes);
-
-/// `fromBitPlanes` reads `planeCount` <= 32 planes and writes
-/// `lanes[0, count)`, lane bit `b` taken from plane `b`.  Requires
-/// count <= kBlockLanes; throws std::invalid_argument for more than 32
-/// planes.
-void fromBitPlanes(const circuit::CompiledNetlist::Word* planes, std::size_t planeCount,
-                   std::uint32_t* lanes, std::size_t count);
 
 /// Applies a 16-bit adder (via its bound simulator) to any number of
 /// operand pairs on the compiled engine, swept internally in blocks of
 /// `circuit::kBlockLanes`: each block of operands is transposed into bit
-/// planes, evaluated, and the adder's outputs transposed back.  Shared by
-/// the accelerator behavioural models whose datapath leaves the bit-plane
-/// domain between adders, and reusable for custom accelerators.
+/// planes, evaluated, and the adder's outputs decoded back to lanes by the
+/// program's kernel backend.  Shared by the accelerator behavioural models
+/// whose datapath leaves the bit-plane domain between adders, and reusable
+/// for custom accelerators.
 /// `inWords` / `outWords` are caller-owned blocks of at least
 /// 32 * kBlockWords and outputCount * kBlockWords words; nothing allocates.
 /// Operands truncate to the adder's 16-bit interface (inputs may carry a
-/// previous level's carry-out in bit 16).
+/// previous level's carry-out in bit 16).  Throws std::invalid_argument
+/// for an adder with more than 32 outputs.
 void batchAdd16Wide(circuit::BatchSimulator& sim, const std::uint32_t* a,
                     const std::uint32_t* b, std::uint32_t* out, std::size_t lanes,
                     std::span<circuit::CompiledNetlist::Word> inWords,

@@ -6,6 +6,7 @@
 #include "src/autoax/accelerator.hpp"
 #include "src/autoax/dse.hpp"
 #include "src/circuit/batch_sim.hpp"
+#include "src/circuit/kernels.hpp"
 #include "src/circuit/simulator.hpp"
 #include "src/error/error_metrics.hpp"
 #include "src/gen/adders.hpp"
@@ -196,15 +197,6 @@ std::vector<Word> naiveToBitPlanes(const std::vector<std::uint32_t>& lanes, std:
     return planes;
 }
 
-std::uint32_t naiveLaneFromPlanes(const std::vector<Word>& planes, std::size_t planeCount,
-                                  std::size_t lane) {
-    std::uint32_t value = 0;
-    for (std::size_t bit = 0; bit < planeCount; ++bit)
-        value |= static_cast<std::uint32_t>((planes[bit * kWords + lane / 64] >> (lane % 64)) & 1u)
-                 << bit;
-    return value;
-}
-
 constexpr std::size_t kLaneCounts[] = {0, 1, 63, 64, 65, 1023, 1024};
 
 TEST(BitPlanes, ToBitPlanesMatchesPerBitReference) {
@@ -220,38 +212,22 @@ TEST(BitPlanes, ToBitPlanesMatchesPerBitReference) {
     }
 }
 
-TEST(BitPlanes, FromBitPlanesMatchesPerBitReference) {
-    util::Rng rng(0x7C);
-    for (std::size_t planeCount : {16u, 17u, 32u}) {
-        for (std::size_t count : kLaneCounts) {
-            // Planes beyond `planeCount` are random too: they must be ignored.
-            std::vector<Word> planes(32 * kWords);
-            for (Word& w : planes) w = rng.engine()();
-            constexpr std::uint32_t kSentinel = 0xDEADBEEFu;
-            std::vector<std::uint32_t> lanes(circuit::kBlockLanes, kSentinel);
-            fromBitPlanes(planes.data(), planeCount, lanes.data(), count);
-            for (std::size_t lane = 0; lane < circuit::kBlockLanes; ++lane)
-                ASSERT_EQ(lanes[lane], lane < count ? naiveLaneFromPlanes(planes, planeCount, lane)
-                                                    : kSentinel)
-                    << planeCount << " planes, " << count << " lanes, lane " << lane;
-        }
-    }
-    std::vector<Word> planes(33 * kWords);
-    std::vector<std::uint32_t> lanes(64);
-    EXPECT_THROW(fromBitPlanes(planes.data(), 33, lanes.data(), 64), std::invalid_argument);
-}
-
-TEST(BitPlanes, RoundTripKeepsSixteenBits) {
+TEST(BitPlanes, RoundTripThroughBackendDecoderKeepsSixteenBits) {
+    // `toBitPlanes` followed by each backend's 32-bit decoder is the
+    // transpose pair batchAdd16Wide and the Gaussian root run on.
     util::Rng rng(0x7D);
-    for (std::size_t count : kLaneCounts) {
-        std::vector<std::uint32_t> lanes(count);
-        for (std::uint32_t& v : lanes) v = static_cast<std::uint32_t>(rng.engine()());
-        std::vector<Word> planes(16 * kWords);
-        toBitPlanes(lanes.data(), count, planes.data());
-        std::vector<std::uint32_t> back(count);
-        fromBitPlanes(planes.data(), 16, back.data(), count);
-        for (std::size_t lane = 0; lane < count; ++lane)
-            ASSERT_EQ(back[lane], lanes[lane] & 0xFFFFu) << count << " lanes, lane " << lane;
+    for (const circuit::kernels::Backend* backend : circuit::kernels::availableBackends()) {
+        for (std::size_t count : kLaneCounts) {
+            std::vector<std::uint32_t> lanes(count);
+            for (std::uint32_t& v : lanes) v = static_cast<std::uint32_t>(rng.engine()());
+            std::vector<Word> planes(16 * kWords);
+            toBitPlanes(lanes.data(), count, planes.data());
+            std::vector<std::uint32_t> back(circuit::kBlockLanes);
+            backend->wide.decode32(planes.data(), 16, back.data());
+            for (std::size_t lane = 0; lane < circuit::kBlockLanes; ++lane)
+                ASSERT_EQ(back[lane], lane < count ? lanes[lane] & 0xFFFFu : 0u)
+                    << backend->name << ", " << count << " lanes, lane " << lane;
+        }
     }
 }
 

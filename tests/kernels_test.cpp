@@ -143,6 +143,38 @@ TEST(KernelBackends, NarrowPathBitIdenticalAcrossBackends) {
     }
 }
 
+TEST(KernelBackends, DecodersMatchPerBitReference) {
+    // Plane b holds bit b of every lane, lane i at bit i % 64 of word
+    // i / 64; planes past `bits` hold random words and must be ignored.
+    util::Rng rng(0x7C);
+    std::vector<kernels::Word> planes(32 * kBlockWords);
+    for (kernels::Word& w : planes) w = rng.engine()();
+    const auto reference = [&](std::size_t bits, std::size_t lane) {
+        std::uint32_t value = 0;
+        for (std::size_t bit = 0; bit < bits; ++bit)
+            value |= static_cast<std::uint32_t>(
+                         (planes[bit * kBlockWords + lane / 64] >> (lane % 64)) & 1u)
+                     << bit;
+        return value;
+    };
+    for (const kernels::Backend* backend : kernels::availableBackends()) {
+        for (std::size_t bits : {16u, 17u, 32u}) {
+            std::vector<std::uint32_t> out32(kBlockLanes, 0xDEADBEEFu);
+            backend->wide.decode32(planes.data(), bits, out32.data());
+            for (std::size_t lane = 0; lane < kBlockLanes; ++lane)
+                ASSERT_EQ(out32[lane], reference(bits, lane))
+                    << backend->name << " decode32, " << bits << " bits, lane " << lane;
+        }
+        for (std::size_t bits : {1u, 8u, 16u}) {
+            std::vector<std::uint16_t> out16(kBlockLanes, 0xBEEF);
+            backend->wide.decode16(planes.data(), bits, out16.data());
+            for (std::size_t lane = 0; lane < kBlockLanes; ++lane)
+                ASSERT_EQ(out16[lane], reference(bits, lane))
+                    << backend->name << " decode16, " << bits << " bits, lane " << lane;
+        }
+    }
+}
+
 TEST(KernelFusion, RewriteRulesPreserveSemantics) {
     // One targeted netlist per rewrite family, checked exhaustively: a
     // wrong fusion identity cannot hide inside a random DAG.
