@@ -14,17 +14,22 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "src/autoax/accelerator.hpp"
 #include "src/autoax/dse.hpp"
+#include "src/core/flow.hpp"
 #include "src/error/error_metrics.hpp"
 #include "src/fault/fault.hpp"
 #include "src/gen/adders.hpp"
+#include "src/gen/library.hpp"
 #include "src/gen/multipliers.hpp"
+#include "src/ml/tuning.hpp"
 #include "src/synth/fpga.hpp"
 #include "src/util/bytes.hpp"
+#include "src/util/rng.hpp"
 
 namespace axf {
 namespace {
@@ -44,6 +49,10 @@ std::string fnv1a(const std::vector<std::uint8_t>& bytes) {
         h *= 0x100000001b3ull;
     }
     return hex(h);
+}
+
+std::string fnv1a(const std::string& text) {
+    return fnv1a(std::vector<std::uint8_t>(text.begin(), text.end()));
 }
 
 template <typename Report>
@@ -163,6 +172,23 @@ bool buildFusesMultiplyAdd() {
     return mulAdd(one + e, one - e, -one) != 0.0;
 }
 
+/// The value recorded for this build shape.  The ML fits shift with where
+/// GCC contracts `a * b + c`, which follows inlining as well as the FMA
+/// probe above: the instrumented RelWithDebInfo ASan+UBSan build that CI
+/// runs inlines differently from the -march=native Release build, so it
+/// has its own values.  A sanitizer build without FMA has none recorded.
+template <typename T>
+T forThisBuild(T fused, T unfused, T sanitized) {
+#if defined(__SANITIZE_ADDRESS__)
+    (void)fused;
+    (void)unfused;
+    return sanitized;
+#else
+    (void)sanitized;
+    return buildFusesMultiplyAdd() ? fused : unfused;
+#endif
+}
+
 TEST(ResultPin, SmallGaussianAutoAxFlowResult) {
     // The Gaussian accelerator and flow configuration of eval_engine_test.
     std::vector<autoax::Component> mults;
@@ -206,6 +232,140 @@ TEST(ResultPin, SmallGaussianAutoAxFlowResult) {
     ASSERT_FALSE(r.trainingSet.empty());
     EXPECT_EQ(bits(r.trainingSet.front().ssim), "0x3fef90c9f39d011a");
     EXPECT_EQ(fnv1a(out.take()), fused ? "0x428a3160117cd449" : "0x8989a72ccb7a4ccb");
+}
+
+/// One small ApproxFPGAs run over the 47 structural 8-bit multipliers.
+core::FlowResult smallApproxFpgasFlow(bool tune) {
+    gen::LibraryConfig lib;
+    lib.op = circuit::ArithOp::Multiplier;
+    lib.width = 8;
+    lib.structuralOnly = true;
+    core::ApproxFpgasFlow::Config cfg;
+    cfg.trainFraction = 0.5;     // 23 measured circuits,
+    cfg.validationShare = 0.35;  // 8 of them validate: 64 fidelity pairs
+    cfg.tuneHyperparameters = tune;
+    cfg.evaluateCoverage = false;
+    return core::ApproxFpgasFlow(cfg).run(gen::buildLibrary(lib));
+}
+
+/// Readable renderings of a flow result; each is pinned as a digest and
+/// printed whole when its digest moves.
+struct FlowText {
+    std::string fidelity;  ///< "ML4 latency 0x..." per (model, parameter)
+    std::string variants;  ///< "ML4 latency components=4" per (model, parameter)
+    std::string outcomes;  ///< selected models and both fronts per parameter
+};
+
+FlowText renderFlow(const core::FlowResult& r) {
+    FlowText t;
+    for (const core::ModelScore& s : r.leaderboard)
+        for (core::FpgaParam param : core::kAllFpgaParams) {
+            const std::string key = s.id + " " + core::fpgaParamName(param) + " ";
+            t.fidelity += key + bits(s.fidelityByParam.at(param)) + "\n";
+            t.variants += key + s.variantByParam.at(param) + "\n";
+        }
+    for (const core::TargetOutcome& o : r.targets) {
+        t.outcomes += std::string(core::fpgaParamName(o.param)) + " selected";
+        for (const std::string& id : o.selectedModels) t.outcomes += " " + id;
+        t.outcomes += " pseudo";
+        for (std::size_t i : o.pseudoParetoIndices) t.outcomes += " " + std::to_string(i);
+        t.outcomes += " final";
+        for (std::size_t i : o.finalParetoIndices) t.outcomes += " " + std::to_string(i);
+        t.outcomes += "\n";
+    }
+    return t;
+}
+
+struct FlowPins {
+    const char* fidelity;
+    const char* variants;
+    const char* outcomes;
+};
+
+void expectFlowPins(const core::FlowResult& r, const FlowPins& pin) {
+    ASSERT_EQ(r.leaderboard.size(), 18u);
+    const FlowText t = renderFlow(r);
+    EXPECT_EQ(fnv1a(t.fidelity), pin.fidelity) << t.fidelity;
+    EXPECT_EQ(fnv1a(t.variants), pin.variants) << t.variants;
+    EXPECT_EQ(fnv1a(t.outcomes), pin.outcomes) << t.outcomes;
+}
+
+TEST(ResultPin, SmallApproxFpgasFlowLeaderboard) {
+    // Untuned: every variant string is "default" in every build shape.
+    expectFlowPins(smallApproxFpgasFlow(false),
+                   forThisBuild<FlowPins>(
+                       {"0x3cefeb7dd0eb27b8", "0x9b0c9126bc3a4207", "0x903046f9a3d215a5"},
+                       {"0x0f4046c15db1678e", "0x9b0c9126bc3a4207", "0xf68d463f7cd07d79"},
+                       {"0x5b6168a132b79753", "0x9b0c9126bc3a4207", "0x903046f9a3d215a5"}));
+}
+
+TEST(ResultPin, SmallTunedApproxFpgasFlowLeaderboard) {
+    expectFlowPins(smallApproxFpgasFlow(true),
+                   forThisBuild<FlowPins>(
+                       {"0x15dc7452ad5763b3", "0x16b61ba052bce030", "0x1b3e4afc125c41be"},
+                       {"0xb4448d03c0dd4764", "0x61c6a196aff15f69", "0x3e8c4a847ea22a5e"},
+                       {"0x05d17fcab4e5f244", "0x7b77e97279e0ba4b", "0xb32799180eb483b4"}));
+}
+
+TEST(ResultPin, TableOneVariantPredictions) {
+    // A fixed nonlinear task whose columns 3..5 play the ASIC metrics.
+    // Predictions are pinned on held-out rows: on a training row KNN finds
+    // an exact match and returns its target for every k.
+    util::Rng rng(0x91A);
+    const std::size_t trainRows = 90, testRows = 30, dims = 6;
+    ml::Matrix xTrain(trainRows, dims), xTest(testRows, dims);
+    ml::Vector yTrain(trainRows);
+    for (std::size_t r = 0; r < trainRows + testRows; ++r) {
+        ml::Matrix& x = r < trainRows ? xTrain : xTest;
+        const std::size_t row = r < trainRows ? r : r - trainRows;
+        for (std::size_t c = 0; c < 3; ++c) x.at(row, c) = rng.uniformReal(0.0, 10.0);
+        const double t = 3.0 * x.at(row, 0) + 0.4 * x.at(row, 1) * x.at(row, 1) +
+                         2.0 * std::sqrt(x.at(row, 2) + 1.0) + rng.gaussian(0.0, 0.8);
+        x.at(row, 3) = 0.8 * t + rng.gaussian(0.0, 2.0);
+        x.at(row, 4) = 0.5 * t + rng.gaussian(0.0, 4.0);
+        x.at(row, 5) = 1.2 * t + rng.gaussian(0.0, 1.0);
+        if (r < trainRows) yTrain[row] = t;
+    }
+    const ml::AsicColumns asic{3, 4, 5};
+
+    // The grid variant each Table-I default equals.
+    const std::map<std::string, std::string> defaults = {
+        {"ML1", "default"},        {"ML2", "default"},           {"ML3", "default"},
+        {"ML4", "components=4"},   {"ML5", "trees=40"},          {"ML6", "lr=0.080000"},
+        {"ML7", "depth=4"},        {"ML8", "noise=0.050000"},    {"ML9", "generations=28"},
+        {"ML10", "alpha=0.080000"}, {"ML11", "iterations=30"},   {"ML12", "alpha=0.010000"},
+        {"ML13", "maxActive=0"},   {"ML14", "alpha=1.000000"},   {"ML15", "eta0=0.020000"},
+        {"ML16", "k=5"},           {"ML17", "hidden=16"},        {"ML18", "depth=10"}};
+
+    const auto predictionBits = [&](ml::RegressorPtr model) {
+        model->fit(xTrain, yTrain);
+        std::vector<std::uint64_t> out;
+        for (const double p : model->predictAll(xTest))
+            out.push_back(std::bit_cast<std::uint64_t>(p));
+        return out;
+    };
+
+    std::string digests;
+    for (const ml::ModelSpec& spec : ml::tableOneModels(asic)) {
+        const std::vector<std::uint64_t> defaultBits = predictionBits(spec.make());
+        util::ByteWriter out;
+        bool sawDefault = false;
+        for (const ml::ModelVariant& variant : ml::hyperparameterGrid(spec.id, asic)) {
+            const std::vector<std::uint64_t> variantBits = predictionBits(variant.make());
+            out.raw(variant.description.data(), variant.description.size());
+            for (const std::uint64_t b : variantBits) out.u64(b);
+            if (variant.description == defaults.at(spec.id)) {
+                sawDefault = true;
+                EXPECT_EQ(variantBits, defaultBits) << spec.id << " " << variant.description;
+            }
+        }
+        EXPECT_TRUE(sawDefault) << spec.id;
+        digests += spec.id + " " + fnv1a(out.take()) + "\n";
+    }
+    EXPECT_EQ(fnv1a(digests), forThisBuild<std::string>("0x5fd2e85f5306fbb2",
+                                                        "0x8f266c4702bbe2f7",
+                                                        "0xe59735610fca6471"))
+        << digests;
 }
 
 }  // namespace
