@@ -76,7 +76,7 @@ inline cache::CharacterizationCache* sharedCache() {
     return instance.get();
 }
 
-/// Flushes the shared cache and prints its hit/miss/evict counters (the
+/// Flushes the shared cache and prints its hit/miss/store counters (the
 /// benches call this once at the end of their report).
 inline void printCacheStats(std::ostream& os) {
     cache::CharacterizationCache* cache = sharedCache();

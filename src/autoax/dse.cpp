@@ -1,6 +1,7 @@
 #include "src/autoax/dse.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <filesystem>
 #include <optional>
@@ -9,7 +10,7 @@
 #include "src/autoax/search_problem.hpp"
 #include "src/cache/characterization_cache.hpp"
 #include "src/core/pareto.hpp"
-#include "src/ml/models.hpp"
+#include "src/ml/registry.hpp"
 #include "src/obs/trace.hpp"
 #include "src/util/rng.hpp"
 
@@ -27,28 +28,27 @@ double costParamOf(const AcceleratorCost& cost, core::FpgaParam param) {
 AcceleratorEstimators AcceleratorEstimators::train(const AcceleratorModel& model,
                                                    const std::vector<EvaluatedConfig>& samples) {
     std::vector<ml::Vector> rows;
-    ml::Vector ssim, area, power, latency;
+    ml::Vector ssim;
+    std::array<ml::Vector, core::kAllFpgaParams.size()> cost;
     for (const EvaluatedConfig& s : samples) {
         rows.push_back(model.features(s.config));
         ssim.push_back(s.ssim);
-        area.push_back(s.cost.lutCount);
-        power.push_back(s.cost.powerMw);
-        latency.push_back(s.cost.latencyNs);
+        for (core::FpgaParam param : core::kAllFpgaParams)
+            cost[static_cast<std::size_t>(param)].push_back(costParamOf(s.cost, param));
     }
     const ml::Matrix x = ml::Matrix::fromRows(rows);
 
+    // QoR is strongly non-linear in the error mass -> forest (ML5); the
+    // cost metrics are near-additive -> Bayesian ridge (ML11).  The paper
+    // reuses its best library-level estimators here, as Table-I defaults.
+    const std::vector<ml::ModelSpec> table = ml::tableOneModels({});
     AcceleratorEstimators est;
-    // QoR is strongly non-linear in the error mass -> forest; the cost
-    // metrics are near-additive -> Bayesian ridge (the paper reuses its
-    // best library-level estimators here).
-    est.qor_ = std::make_unique<ml::RandomForest>();
+    est.qor_ = ml::findModel(table, "ML5").make();
     est.qor_->fit(x, ssim);
-    est.area_ = std::make_unique<ml::ScaledRegressor>(std::make_unique<ml::BayesianRidge>());
-    est.area_->fit(x, area);
-    est.power_ = std::make_unique<ml::ScaledRegressor>(std::make_unique<ml::BayesianRidge>());
-    est.power_->fit(x, power);
-    est.latency_ = std::make_unique<ml::ScaledRegressor>(std::make_unique<ml::BayesianRidge>());
-    est.latency_->fit(x, latency);
+    for (std::size_t p = 0; p < cost.size(); ++p) {
+        est.cost_[p] = ml::findModel(table, "ML11").make();
+        est.cost_[p]->fit(x, cost[p]);
+    }
     return est;
 }
 
@@ -60,13 +60,7 @@ double AcceleratorEstimators::estimateSsim(const AcceleratorModel& model,
 double AcceleratorEstimators::estimateCost(const AcceleratorModel& model,
                                            const AcceleratorConfig& c,
                                            core::FpgaParam param) const {
-    const std::vector<double> f = model.features(c);
-    switch (param) {
-        case core::FpgaParam::Latency: return latency_->predict(f);
-        case core::FpgaParam::Power: return power_->predict(f);
-        case core::FpgaParam::Area: return area_->predict(f);
-    }
-    return 0.0;
+    return cost_[static_cast<std::size_t>(param)]->predict(model.features(c));
 }
 
 std::vector<std::size_t> qualityCostFront(const std::vector<EvaluatedConfig>& points,

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <functional>
 #include <string>
 #include <vector>
@@ -35,9 +36,7 @@ public:
 
 private:
     ml::RegressorPtr qor_;
-    ml::RegressorPtr area_;
-    ml::RegressorPtr power_;
-    ml::RegressorPtr latency_;
+    std::array<ml::RegressorPtr, core::kAllFpgaParams.size()> cost_;  ///< by FpgaParam
 };
 
 /// AutoAx-FPGA: the AutoAx design-space exploration retargeted at FPGA

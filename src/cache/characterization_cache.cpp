@@ -96,7 +96,7 @@ std::string CacheStats::summary() const {
         os << " (" << static_cast<int>(100.0 * static_cast<double>(hits) /
                                        static_cast<double>(lookups) + 0.5)
            << "%)";
-    os << ", " << stores << " stores, " << evictions << " evictions, " << diskEntriesLoaded
+    os << ", " << stores << " stores, " << diskEntriesLoaded
        << " loaded from disk, " << corruptEntriesDropped << " corrupt dropped, "
        << entriesFlushed << " flushed";
     if (shardWriteRetries > 0 || shardWriteFailures > 0)
@@ -112,7 +112,6 @@ CharacterizationCache::CharacterizationCache() {
         snap.addCounter("cache.hits", hits_.value());
         snap.addCounter("cache.misses", misses_.value());
         snap.addCounter("cache.stores", stores_.value());
-        snap.addCounter("cache.evictions", evictions_.value());
         snap.addCounter("cache.disk_entries_loaded", diskEntriesLoaded_.value());
         snap.addCounter("cache.corrupt_entries_dropped", corruptEntriesDropped_.value());
         snap.addCounter("cache.entries_flushed", entriesFlushed_.value());
@@ -202,9 +201,7 @@ void CharacterizationCache::writeShard(std::size_t stripe, Stripe& s) {
     // Walk in insertion order so shard files are deterministic for a given
     // store sequence (stable diffs, reproducible fleet artifacts).
     for (const CacheKey& key : s.order) {
-        const auto it = s.entries.find(key);
-        if (it == s.entries.end()) continue;  // evicted after insertion
-        const std::vector<std::uint8_t>& payload = it->second;
+        const std::vector<std::uint8_t>& payload = s.entries.at(key);
         out.u64(key.structuralHash);
         out.u64(key.signatureDigest);
         out.u64(key.configDigest);
@@ -263,14 +260,6 @@ void CharacterizationCache::putBytes(const CacheKey& key, std::vector<std::uint8
     if (!inserted) return;
     s.order.push_back(key);
     stores_.addAlways();
-    if (options_.maxEntries != 0) {
-        const std::size_t perStripe = std::max<std::size_t>(1, options_.maxEntries / kStripes);
-        while (s.entries.size() > perStripe && !s.order.empty()) {
-            s.entries.erase(s.order.front());
-            s.order.pop_front();
-            evictions_.addAlways();
-        }
-    }
 }
 
 std::optional<circuit::Netlist> CharacterizationCache::findNetlist(const CacheKey& key,
@@ -384,7 +373,6 @@ CacheStats CharacterizationCache::stats() const {
     s.hits = hits_.value();
     s.misses = misses_.value();
     s.stores = stores_.value();
-    s.evictions = evictions_.value();
     s.diskEntriesLoaded = diskEntriesLoaded_.value();
     s.corruptEntriesDropped = corruptEntriesDropped_.value();
     s.entriesFlushed = entriesFlushed_.value();

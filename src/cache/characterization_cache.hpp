@@ -3,7 +3,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -53,7 +52,6 @@ struct CacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t stores = 0;
-    std::uint64_t evictions = 0;
     std::uint64_t diskEntriesLoaded = 0;    ///< entries adopted from shard files
     std::uint64_t corruptEntriesDropped = 0;  ///< bad checksum / truncated / stale schema
     std::uint64_t entriesFlushed = 0;
@@ -97,10 +95,6 @@ public:
 
     struct Options {
         std::string directory;  ///< empty = in-memory only (no persistence)
-        /// Soft bound on resident entries (0 = unbounded).  Enforced per
-        /// stripe in insertion order (FIFO), trading exactness for lock
-        /// locality.
-        std::size_t maxEntries = 0;
         /// Statically lint every netlist payload served by `findNetlist`
         /// (src/verify).  Cache directories are shared, externally
         /// writable state; a blob that deserializes but breaks a
@@ -195,7 +189,7 @@ private:
     struct Stripe {
         std::mutex mutex;
         std::unordered_map<CacheKey, std::vector<std::uint8_t>, CacheKeyHash> entries;
-        std::deque<CacheKey> order;  ///< insertion order, for FIFO eviction
+        std::vector<CacheKey> order;  ///< insertion order, for deterministic shard files
         bool dirty = false;
     };
 
@@ -219,7 +213,6 @@ private:
     obs::Counter hits_;
     obs::Counter misses_;
     obs::Counter stores_;
-    obs::Counter evictions_;
     obs::Counter diskEntriesLoaded_;
     obs::Counter corruptEntriesDropped_;
     obs::Counter entriesFlushed_;
@@ -264,8 +257,7 @@ synth::FpgaReport implementCached(CharacterizationCache* cache, const synth::Fpg
 // counts and the `forEachEntry` order therefore equal those of N serial
 // single-circuit calls at any thread count: a netlist repeated within the
 // batch is computed once and its later copies hit, as they would
-// serially.  (With `Options::maxEntries`, an eviction during the batch can
-// make a serial lookup miss where the batch's up-front lookup hit.)
+// serially.
 
 /// Batched `synthesizeCached`.
 std::vector<synth::AsicReport> synthesizeCachedBatch(

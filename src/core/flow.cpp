@@ -1,9 +1,10 @@
 #include "src/core/flow.hpp"
 
 #include <algorithm>
+#include <array>
+#include <numeric>
+#include <span>
 #include <unordered_set>
-
-#include <map>
 
 #include "src/core/fidelity.hpp"
 #include "src/ml/tuning.hpp"
@@ -97,35 +98,32 @@ FlowResult ApproxFpgasFlow::run(gen::AcLibrary library) const {
         specs = std::move(filtered);
     }
 
-    // Per (model, parameter) factory used later for full-library estimation;
-    // with tuning enabled this is the best grid variant, otherwise the
-    // Table-I default.
-    std::map<std::pair<std::string, FpgaParam>, std::function<ml::RegressorPtr()>> factories;
-    const ml::AsicColumns asicColumns = CircuitDataset::asicColumns();
+    // One cell per (model, parameter): fit the model's variants and keep
+    // the best by validation fidelity — the whole grid when tuning, else
+    // just the Table-I default.  `chosen[m][p]` is the variant refit below
+    // for full-library estimation.
+    std::vector<std::array<ml::TunedModel, kAllFpgaParams.size()>> chosen(specs.size());
     const auto fidelityScore = [](const ml::Vector& measured, const ml::Vector& estimated) {
         return fidelity(measured, estimated);
     };
-
-    for (const ml::ModelSpec& spec : specs) {
+    for (std::size_t m = 0; m < specs.size(); ++m) {
+        const ml::ModelSpec& spec = specs[m];
+        const std::span<const ml::ModelVariant> variants =
+            config_.tuneHyperparameters
+                ? std::span<const ml::ModelVariant>(spec.grid)
+                : std::span<const ml::ModelVariant>(&spec.grid[spec.defaultVariant], 1);
         ModelScore score;
         score.id = spec.id;
         score.name = spec.name;
         for (FpgaParam param : kAllFpgaParams) {
-            const ml::Vector yTrain = result.dataset.measuredTargets(training, param);
-            const ml::Vector yVal = result.dataset.measuredTargets(validation, param);
-            if (config_.tuneHyperparameters) {
-                ml::TunedModel tuned = ml::tuneModel(spec.id, asicColumns, xTrain, yTrain, xVal,
-                                                     yVal, fidelityScore);
-                score.fidelityByParam[param] = tuned.validationScore;
-                score.variantByParam[param] = tuned.variantDescription;
-                factories[{spec.id, param}] = std::move(tuned.make);
-            } else {
-                ml::RegressorPtr model = spec.make();
-                model->fit(xTrain, yTrain);
-                score.fidelityByParam[param] = fidelity(yVal, model->predictAll(xVal));
-                score.variantByParam[param] = "default";
-                factories[{spec.id, param}] = spec.make;
-            }
+            ml::TunedModel& cell = chosen[m][static_cast<std::size_t>(param)];
+            cell = ml::fitBestVariant(variants, xTrain,
+                                      result.dataset.measuredTargets(training, param), xVal,
+                                      result.dataset.measuredTargets(validation, param),
+                                      fidelityScore);
+            score.fidelityByParam[param] = cell.validationScore;
+            score.variantByParam[param] =
+                config_.tuneHyperparameters ? cell.variantDescription : "default";
         }
         result.leaderboard.push_back(std::move(score));
     }
@@ -141,20 +139,21 @@ FlowResult ApproxFpgasFlow::run(gen::AcLibrary library) const {
         outcome.param = param;
 
         // Top-k models by validation fidelity for this parameter.
-        std::vector<const ModelScore*> ranked;
-        for (const ModelScore& s : result.leaderboard) ranked.push_back(&s);
-        std::sort(ranked.begin(), ranked.end(), [&](const ModelScore* a, const ModelScore* b) {
-            return a->fidelityByParam.at(param) > b->fidelityByParam.at(param);
+        std::vector<std::size_t> ranked(result.leaderboard.size());
+        std::iota(ranked.begin(), ranked.end(), std::size_t{0});
+        std::sort(ranked.begin(), ranked.end(), [&](std::size_t a, std::size_t b) {
+            return result.leaderboard[a].fidelityByParam.at(param) >
+                   result.leaderboard[b].fidelityByParam.at(param);
         });
         const int k = std::min<int>(config_.topModels, static_cast<int>(ranked.size()));
 
         std::unordered_set<std::size_t> unionOfFronts;
-        for (int m = 0; m < k; ++m) {
-            const ModelScore& chosen = *ranked[static_cast<std::size_t>(m)];
-            outcome.selectedModels.push_back(chosen.id);
+        for (int r = 0; r < k; ++r) {
+            const std::size_t m = ranked[static_cast<std::size_t>(r)];
+            outcome.selectedModels.push_back(result.leaderboard[m].id);
 
             // Re-train on the full synthesized subset, estimate everything.
-            ml::RegressorPtr model = factories.at({chosen.id, param})();
+            ml::RegressorPtr model = chosen[m][static_cast<std::size_t>(param)].make();
             model->fit(xSubset, result.dataset.measuredTargets(subset, param));
             const ml::Vector estimates = model->predictAll(xAll);
 

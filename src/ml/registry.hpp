@@ -17,12 +17,22 @@ struct AsicColumns {
     std::size_t power = 0;
 };
 
-/// One Table-I entry: stable id ("ML11"), human-readable name, and a
-/// factory producing a fresh untrained model.
+/// One hyperparameter variant of a Table-I model.
+struct ModelVariant {
+    std::string description;  ///< e.g. "alpha=0.100000"; "default" for knob-free models
+    std::function<RegressorPtr()> make;
+};
+
+/// One Table-I entry: stable id ("ML11"), human-readable name, and the
+/// small hyperparameter grid behind the paper's "modification of ML
+/// parameters" loop (Fig. 2).  The model's Table-I default is one named
+/// member of that grid.
 struct ModelSpec {
     std::string id;
     std::string name;
-    std::function<RegressorPtr()> make;
+    std::vector<ModelVariant> grid;
+    std::size_t defaultVariant = 0;  ///< index of the Table-I default in `grid`
+    std::function<RegressorPtr()> make;  ///< `grid[defaultVariant].make`
 };
 
 /// The 18 statistical/ML models of Table I, in paper order ML1..ML18.

@@ -122,6 +122,11 @@ public:
     using Archive = ParetoArchive<Genome>;
     using Entry = typename Archive::Entry;
 
+    /// Anneal schedule: relative-worsening scale at generation 0 and at
+    /// the final generation, geometric in between.
+    static constexpr double kAnnealStartTemp = 0.25;
+    static constexpr double kAnnealEndTemp = 1e-3;
+
     struct Options {
         int islands = 1;
         int generations = 1000;     ///< per island
@@ -137,8 +142,6 @@ public:
         /// everywhere).  Mixing strategies across islands diversifies the
         /// search without giving up determinism.
         std::vector<Strategy> islandStrategies;
-        double annealStartTemp = 0.25;  ///< relative-worsening scale at gen 0
-        double annealEndTemp = 1e-3;    ///< ... at the final generation
         std::size_t threads = 0;        ///< worker cap (0 = whole pool, 1 = serial)
         util::ThreadPool* pool = nullptr;  ///< nullptr = the process-global pool
 
@@ -278,8 +281,10 @@ public:
         mix(static_cast<std::uint64_t>(options_.strategy));
         mix(options_.islandStrategies.size());
         for (Strategy s : options_.islandStrategies) mix(static_cast<std::uint64_t>(s));
-        mixDouble(options_.annealStartTemp);
-        mixDouble(options_.annealEndTemp);
+        // Kept in the digest so snapshots written while the schedule was
+        // an option still resume.
+        mixDouble(kAnnealStartTemp);
+        mixDouble(kAnnealEndTemp);
         mix(options_.problemDigest);
         return h;
     }
@@ -565,10 +570,9 @@ private:
     }
 
     double temperature(int gen) const {
-        const double t0 = options_.annealStartTemp, t1 = options_.annealEndTemp;
-        if (options_.generations <= 1) return t1;
+        if (options_.generations <= 1) return kAnnealEndTemp;
         const double f = static_cast<double>(gen) / static_cast<double>(options_.generations - 1);
-        return t0 * std::pow(t1 / t0, f);
+        return kAnnealStartTemp * std::pow(kAnnealEndTemp / kAnnealStartTemp, f);
     }
 
     /// Ring migration on pre-epoch snapshots: island i receives up to
