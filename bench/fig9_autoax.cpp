@@ -96,7 +96,7 @@ static int benchMain() {
     autoax::AutoAxFpgaFlow::Config cfg;
     cfg.islands = 4;
     cfg.searchBatch = 8;
-    cfg.migrationInterval = 8;
+    cfg.migrationInterval = 8;  // no islandStrategies: every island hill-climbs
     if (scale == bench::Scale::Ci) {
         cfg.trainConfigs = 60;
         cfg.hillIterations = 800;
@@ -120,7 +120,7 @@ static int benchMain() {
 
     const std::size_t dseEvaluations = result.totalRealEvaluations;
     std::cout << "island search: " << cfg.islands << " islands x batch " << cfg.searchBatch
-              << " (" << search::strategyName(cfg.strategy) << "), pool of "
+              << " (" << search::strategyName(search::Strategy::HillClimb) << "), pool of "
               << util::ThreadPool::global().threadCount() << " workers\n";
     std::cout << "DSE wall clock (1 thread):  " << util::Table::num(serialSeconds, 2) << " s, "
               << serialResult.totalRealEvaluations << " fresh real evaluations -> "

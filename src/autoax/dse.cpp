@@ -214,9 +214,7 @@ AutoAxFpgaFlow::Result AutoAxFpgaFlow::run(const AcceleratorModel& model) const 
         searchOptions.migrationInterval = config_.migrationInterval;
         searchOptions.migrants = config_.migrants;
         searchOptions.archiveCap = config_.archiveCap;
-        searchOptions.epsilon = config_.searchEpsilon;
         searchOptions.seed = searchSeed;
-        searchOptions.strategy = config_.strategy;
         searchOptions.islandStrategies = config_.islandStrategies;
         searchOptions.threads = config_.threads;
         searchOptions.pool = config_.pool;

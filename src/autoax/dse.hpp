@@ -75,13 +75,9 @@ public:
         int migrationInterval = 16;
         /// Archive entries offered per migration (0 = none).
         int migrants = 4;
-        /// Island strategy; `islandStrategies` (cycled) overrides per
-        /// island, e.g. {HillClimb, Anneal, Genetic} for a mixed fleet.
-        search::Strategy strategy = search::Strategy::HillClimb;
+        /// Per-island strategies, cycled (empty = HillClimb everywhere),
+        /// e.g. {HillClimb, Anneal, Genetic} for a mixed fleet.
         std::vector<search::Strategy> islandStrategies;
-        /// Epsilon-dominance coarsening of the search archives (0 = the
-        /// exact legacy dominance).
-        double searchEpsilon = 0.0;
 
         // --- resilience objective (src/fault) --------------------------
         /// Adds mean error-under-fault as a third archive objective

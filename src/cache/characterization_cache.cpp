@@ -271,7 +271,7 @@ std::optional<circuit::Netlist> CharacterizationCache::findNetlist(const CacheKe
     std::optional<circuit::Netlist> net;
     if (reader.u64(storedHash)) net = circuit::Netlist::deserialize(reader);
     if (net && net->structuralHash() != storedHash) net.reset();
-    if (net && options_.verifyNetlists && verify::lintNetlist(*net).hasErrors()) net.reset();
+    if (net && verify::lintNetlist(*net).hasErrors()) net.reset();
     if (!net) {
         // Decoded-but-illegal payloads are corrupt entries in every way
         // that matters: count them and report a miss (the caller

@@ -95,13 +95,6 @@ public:
 
     struct Options {
         std::string directory;  ///< empty = in-memory only (no persistence)
-        /// Statically lint every netlist payload served by `findNetlist`
-        /// (src/verify).  Cache directories are shared, externally
-        /// writable state; a blob that deserializes but breaks a
-        /// structural invariant is treated exactly like a corrupt entry —
-        /// a miss, counted in `corruptEntriesDropped` — so downstream
-        /// consumers never evaluate it.
-        bool verifyNetlists = false;
     };
 
     CharacterizationCache();  ///< in-memory only
@@ -128,8 +121,10 @@ public:
     // --- netlist payloads (Blob kind, hash-prefixed) ------------------------
     /// Finds a netlist stored by `putNetlist`: the payload's embedded
     /// structural hash must match the rebuilt netlist (tamper check), and
-    /// with `Options::verifyNetlists` the netlist must also pass the
-    /// src/verify linter.  Either failure counts as a corrupt miss.
+    /// the netlist must pass the src/verify linter.  Cache directories are
+    /// shared, externally writable state, so a blob that deserializes but
+    /// breaks a structural invariant counts as a corrupt miss, like a
+    /// tampered one, and downstream consumers never evaluate it.
     /// `hashOut` (optional) receives the embedded hash.
     std::optional<circuit::Netlist> findNetlist(const CacheKey& key,
                                                 std::uint64_t* hashOut = nullptr);

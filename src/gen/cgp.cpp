@@ -103,62 +103,6 @@ CgpGenome CgpGenome::seedFromNetlist(const Netlist& netlist, int extraCells, uti
     return genome;
 }
 
-CgpGenome CgpGenome::crossover(const CgpGenome& a, const CgpGenome& b, util::Rng& rng) {
-    if (a.params_.inputs != b.params_.inputs || a.params_.outputs != b.params_.outputs ||
-        a.genes_.size() != b.genes_.size() || a.outputGenes_.size() != b.outputGenes_.size() ||
-        a.params_.functions != b.params_.functions)
-        throw std::invalid_argument("CgpGenome::crossover: geometry mismatch");
-    CgpGenome child = a;
-    // Cut position over the flattened chromosome (cut == 0 clones b,
-    // cut == chromosome length clones a).
-    const std::size_t chromosome = child.genes_.size() + child.outputGenes_.size();
-    const std::size_t cut = rng.index(chromosome + 1);
-    for (std::size_t i = cut; i < chromosome; ++i) {
-        if (i < child.genes_.size())
-            child.genes_[i] = b.genes_[i];
-        else
-            child.outputGenes_[i - child.genes_.size()] = b.outputGenes_[i - child.genes_.size()];
-    }
-    return child;
-}
-
-void CgpGenome::serialize(util::ByteWriter& out) const {
-    out.u32(static_cast<std::uint32_t>(genes_.size()));
-    for (const Gene& g : genes_) {
-        out.u8(g.function);
-        out.u16(g.a);
-        out.u16(g.b);
-    }
-    out.u32(static_cast<std::uint32_t>(outputGenes_.size()));
-    for (std::uint16_t o : outputGenes_) out.u16(o);
-}
-
-std::optional<CgpGenome> CgpGenome::deserialize(util::ByteReader& in, const CgpParams& params) {
-    std::uint32_t cellCount = 0;
-    if (!in.u32(cellCount) || cellCount != static_cast<std::uint32_t>(params.cells))
-        return std::nullopt;
-    std::vector<Gene> genes(cellCount);
-    for (std::uint32_t i = 0; i < cellCount; ++i) {
-        Gene& g = genes[i];
-        if (!in.u8(g.function) || !in.u16(g.a) || !in.u16(g.b)) return std::nullopt;
-        // Enforce the representation invariants the operators rely on:
-        // function inside the alphabet, operands respecting levels-back
-        // order (cell i sees inputs and cells < i).  A checkpoint that
-        // violates them is corrupt, not merely stale.
-        if (g.function >= params.functions.size()) return std::nullopt;
-        const std::uint32_t operandSpace = static_cast<std::uint32_t>(params.inputs) + i;
-        if (g.a >= operandSpace || g.b >= operandSpace) return std::nullopt;
-    }
-    std::uint32_t outputCount = 0;
-    if (!in.u32(outputCount) || outputCount != static_cast<std::uint32_t>(params.outputs))
-        return std::nullopt;
-    std::vector<std::uint16_t> outputs(outputCount);
-    const std::uint32_t nodeSpace = static_cast<std::uint32_t>(params.inputs + params.cells);
-    for (std::uint32_t o = 0; o < outputCount; ++o)
-        if (!in.u16(outputs[o]) || outputs[o] >= nodeSpace) return std::nullopt;
-    return CgpGenome(params, std::move(genes), std::move(outputs));
-}
-
 void CgpGenome::mutate(int count, util::Rng& rng) {
     // Gene space: per cell (function, a, b) plus the output genes.
     const std::size_t geneSpace = genes_.size() * 3 + outputGenes_.size();
@@ -217,25 +161,6 @@ Netlist CgpGenome::decode() const {
     }
     for (std::uint16_t out : outputGenes_) net.markOutput(map[out]);
     return net;
-}
-
-void CgpSearchProblem::evaluate(std::span<const CgpGenome> batch,
-                                std::span<search::Objectives> out) const {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        const circuit::Netlist netlist = batch[i].decode();
-        const error::ErrorReport report =
-            error::analyzeError(netlist, signature_, fitnessConfig_);
-        if (resilience_) {
-            const fault::ResilienceReport rr =
-                fault::analyzeResilience(netlist, signature_, *resilience_);
-            out[i] = search::Objectives{report.med,
-                                        static_cast<double>(batch[i].activeCells()),
-                                        rr.meanMedUnderFault};
-        } else {
-            out[i] = search::Objectives{report.med,
-                                        static_cast<double>(batch[i].activeCells())};
-        }
-    }
 }
 
 CgpEvolver::CgpEvolver(circuit::ArithSignature signature, Options options)

@@ -1,18 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <vector>
-
-#include <span>
 
 #include "src/circuit/arith.hpp"
 #include "src/circuit/netlist.hpp"
 #include "src/error/error_metrics.hpp"
-#include "src/fault/fault.hpp"
-#include "src/search/objectives.hpp"
-#include "src/util/bytes.hpp"
 #include "src/util/rng.hpp"
 
 namespace axf::gen {
@@ -38,8 +31,6 @@ public:
         std::uint8_t function = 0;  ///< index into params.functions
         std::uint16_t a = 0;        ///< operand node index
         std::uint16_t b = 0;
-
-        friend bool operator==(const Gene&, const Gene&) = default;
     };
 
     CgpGenome(CgpParams params, util::Rng& rng);  ///< random individual
@@ -54,35 +45,6 @@ public:
     /// output gene, like classic CGP goldman mutation).
     void mutate(int count, util::Rng& rng);
 
-    /// Single-point crossover over the flattened (cell genes + output
-    /// genes) chromosome: the child takes `a`'s genes before a uniformly
-    /// chosen cut and `b`'s from it on.  Both parents must share the same
-    /// geometry AND function set (throws std::invalid_argument otherwise
-    /// — gene.function indices are only meaningful within one alphabet);
-    /// operand ranges are position-dependent only, so any cut stays
-    /// structurally valid.
-    static CgpGenome crossover(const CgpGenome& a, const CgpGenome& b, util::Rng& rng);
-
-    /// Genome identity: same geometry, function alphabet and chromosome
-    /// (the search archives deduplicate on this).
-    friend bool operator==(const CgpGenome& a, const CgpGenome& b) {
-        return a.genes_ == b.genes_ && a.outputGenes_ == b.outputGenes_ &&
-               a.params_.inputs == b.params_.inputs &&
-               a.params_.outputs == b.params_.outputs &&
-               a.params_.functions == b.params_.functions;
-    }
-
-    /// Checkpoint encoding of the chromosome alone — geometry and function
-    /// alphabet come from the owning problem's `CgpParams`, not the file
-    /// (every genome of one search shares them).
-    void serialize(util::ByteWriter& out) const;
-
-    /// Decodes a chromosome written by `serialize` for the given geometry;
-    /// nullopt on truncation or any constraint violation (function index
-    /// outside the alphabet, operand breaking the levels-back order,
-    /// output gene outside the node space).
-    static std::optional<CgpGenome> deserialize(util::ByteReader& in, const CgpParams& params);
-
     /// Decodes the active cone into a netlist (inactive cells skipped).
     circuit::Netlist decode() const;
 
@@ -92,11 +54,6 @@ public:
     const CgpParams& params() const { return params_; }
 
 private:
-    /// Checkpoint-restore path: adopts a validated chromosome verbatim.
-    CgpGenome(CgpParams params, std::vector<Gene> genes, std::vector<std::uint16_t> outputGenes)
-        : params_(std::move(params)), genes_(std::move(genes)),
-          outputGenes_(std::move(outputGenes)) {}
-
     CgpParams params_;
     std::vector<Gene> genes_;
     std::vector<std::uint16_t> outputGenes_;
@@ -143,74 +100,6 @@ public:
 private:
     circuit::ArithSignature signature_;
     Options options_;
-};
-
-/// The CGP offspring loop adapted to the `search::Problem` concept — the
-/// proof that the island engine is workload-agnostic: the same
-/// `search::IslandSearch` that drives the accelerator DSE explores the
-/// (MED, active-cell) trade-off of approximate circuits.  Objectives are
-/// `{med, activeCells}` (both minimized), so the archive IS the
-/// error/size Pareto family a library build harvests.  An optional
-/// stuck-at campaign (`setResilienceObjective`) appends mean
-/// error-under-fault as a third objective, turning the archive into a
-/// quality x size x resilience front.  All genomes share this problem's
-/// geometry (`params`); fitness evaluation uses the sampled, cheap
-/// error-analysis profile exactly like `CgpEvolver` and is const,
-/// RNG-free and thread-safe.
-class CgpSearchProblem {
-public:
-    using Genome = CgpGenome;
-
-    CgpSearchProblem(circuit::ArithSignature signature, CgpParams params,
-                     error::ErrorAnalysisConfig fitnessConfig = {/*exhaustiveLimit=*/1u << 12,
-                                                                /*sampleCount=*/1u << 13,
-                                                                /*seed=*/0xF17},
-                     int mutatedGenes = 4)
-        : signature_(signature), params_(std::move(params)),
-          fitnessConfig_(fitnessConfig), mutatedGenes_(mutatedGenes) {}
-
-    std::size_t objectiveCount() const { return resilience_ ? 3 : 2; }
-
-    /// Enables the resilience objective: every evaluation additionally
-    /// runs a stuck-at campaign with this configuration and appends the
-    /// circuit's `meanMedUnderFault`.  Keep the embedded analysis budget
-    /// modest (campaign cost scales with fault-site count).
-    void setResilienceObjective(fault::CampaignConfig campaign) {
-        resilience_ = std::move(campaign);
-    }
-
-    CgpGenome random(util::Rng& rng) const { return CgpGenome(params_, rng); }
-
-    CgpGenome mutate(const CgpGenome& genome, util::Rng& rng) const {
-        CgpGenome child = genome;
-        child.mutate(mutatedGenes_, rng);
-        return child;
-    }
-
-    CgpGenome crossover(const CgpGenome& a, const CgpGenome& b, util::Rng& rng) const {
-        return CgpGenome::crossover(a, b, rng);
-    }
-
-    void evaluate(std::span<const CgpGenome> batch, std::span<search::Objectives> out) const;
-
-    /// Checkpoint hooks (`search::CheckpointableProblem`): the problem owns
-    /// the shared geometry, so only the chromosome travels per genome.
-    void serializeGenome(const CgpGenome& genome, util::ByteWriter& out) const {
-        genome.serialize(out);
-    }
-
-    std::optional<CgpGenome> deserializeGenome(util::ByteReader& in) const {
-        return CgpGenome::deserialize(in, params_);
-    }
-
-    const CgpParams& params() const { return params_; }
-
-private:
-    circuit::ArithSignature signature_;
-    CgpParams params_;
-    error::ErrorAnalysisConfig fitnessConfig_;
-    int mutatedGenes_;
-    std::optional<fault::CampaignConfig> resilience_;
 };
 
 }  // namespace axf::gen

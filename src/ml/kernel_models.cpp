@@ -53,25 +53,4 @@ double KernelRidge::predict(std::span<const double> x) const {
     return acc;
 }
 
-double GaussianProcess::predictVariance(std::span<const double> x) const {
-    // var = k(x,x) - k_*^T (K + sigma^2 I)^-1 k_*.  Solving per query is
-    // acceptable at the library's dataset sizes and keeps fit() lean.
-    const std::size_t n = trainX_.rows();
-    if (n == 0) return 1.0;
-    Matrix k(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = i; j < n; ++j) {
-            const double v = rbf(trainX_.row(i), trainX_.row(j), gammaUsed_);
-            k.at(i, j) = v;
-            k.at(j, i) = v;
-        }
-        k.at(i, i) += alpha_;
-    }
-    Vector kstar(n);
-    for (std::size_t i = 0; i < n; ++i) kstar[i] = rbf(trainX_.row(i), x, gammaUsed_);
-    const Vector sol = solveSpd(std::move(k), kstar);
-    const double var = 1.0 - dot(kstar, sol);
-    return std::max(0.0, var);
-}
-
 }  // namespace axf::ml

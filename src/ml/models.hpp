@@ -125,33 +125,23 @@ private:
 // ---------------------------------------------------------------------------
 
 /// Kernel ridge regression (ML10) with an RBF kernel; the length scale
-/// defaults to the median pairwise distance heuristic.
-class KernelRidge : public Regressor {
+/// defaults to the median pairwise distance heuristic.  ML8's Gaussian
+/// process is the same predictor: its posterior mean under a white-noise
+/// term `noise` is kernel ridge with `alpha = noise`.
+class KernelRidge final : public Regressor {
 public:
     explicit KernelRidge(double alpha = 0.08, double gamma = 0.0)
         : alpha_(alpha), gamma_(gamma) {}
     void fit(const Matrix& x, const Vector& y) override;
     double predict(std::span<const double> x) const override;
 
-protected:
+private:
     double alpha_;
     double gamma_;  ///< 0 = median heuristic
     Matrix trainX_;
     Vector dual_;
     double yMean_ = 0.0;
     double gammaUsed_ = 1.0;
-};
-
-/// Gaussian-process regression (ML8): RBF kernel, white-noise term; the
-/// posterior mean shares its algebra with kernel ridge, and the posterior
-/// variance is exposed for inspection.
-class GaussianProcess final : public KernelRidge {
-public:
-    explicit GaussianProcess(double noise = 0.05, double gamma = 0.0)
-        : KernelRidge(noise, gamma) {}
-
-    /// Posterior predictive variance at x (requires fit()).
-    double predictVariance(std::span<const double> x) const;
 };
 
 // ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ std::vector<ModelSpec> tableOneModels(const AsicColumns& asic) {
                               return plain<AdaBoostR2>(p);
                           }));
     specs.push_back(sweep("ML8", "Gaussian Process", "noise", {0.01, 0.05, 0.2}, 0.05,
-                          [](double noise) { return scaled<GaussianProcess>(noise); }));
+                          [](double noise) { return scaled<KernelRidge>(noise); }));
     specs.push_back(sweep("ML9", "Symbolic Regression", "generations", {16, 28}, 28,
                           [](int generations) {
                               SymbolicRegression::Params p;

@@ -99,8 +99,8 @@ const char* strategyName(Strategy strategy);
 ///
 /// N islands each own a `ParetoArchive` and a private RNG stream; the
 /// island seeds iterate splitmix64 from the base seed (island 0 KEEPS the
-/// base seed, which is what makes `islands = 1, strategy = HillClimb,
-/// batch = 1` reproduce the legacy single-archive serial search
+/// base seed, which is what makes `islands = 1, batch = 1` with the
+/// default HillClimb strategy reproduce the legacy single-archive serial search
 /// bit-for-bit).  Every generation an island drafts a speculative batch
 /// of candidates — all RNG draws happen up front against the
 /// pre-generation archive — then estimates the whole batch with ONE
@@ -135,12 +135,10 @@ public:
         int migrationInterval = 16; ///< generations between migrations (0 = never)
         int migrants = 4;           ///< entries offered per migration (0 = none)
         std::size_t archiveCap = 0; ///< per-island and merged cap (0 = unlimited)
-        double epsilon = 0.0;       ///< epsilon-dominance coarsening
         std::uint64_t seed = 1;     ///< base of the splitmix64 island seed stream
-        Strategy strategy = Strategy::HillClimb;
-        /// Per-island strategy override, cycled (empty = `strategy`
-        /// everywhere).  Mixing strategies across islands diversifies the
-        /// search without giving up determinism.
+        /// Per-island strategies, cycled (empty = HillClimb everywhere).
+        /// Mixing strategies across islands diversifies the search without
+        /// giving up determinism.
         std::vector<Strategy> islandStrategies;
         std::size_t threads = 0;        ///< worker cap (0 = whole pool, 1 = serial)
         util::ThreadPool* pool = nullptr;  ///< nullptr = the process-global pool
@@ -204,11 +202,10 @@ public:
         islands.reserve(n);
         std::uint64_t seedState = options_.seed;
         for (std::size_t i = 0; i < n; ++i) {
-            Island island{Archive(options_.archiveCap, options_.epsilon),
+            Island island{Archive(options_.archiveCap),
                           util::Rng(i == 0 ? options_.seed : util::splitmix64(seedState))};
-            island.strategy = options_.islandStrategies.empty()
-                                  ? options_.strategy
-                                  : options_.islandStrategies[i % options_.islandStrategies.size()];
+            if (!options_.islandStrategies.empty())
+                island.strategy = options_.islandStrategies[i % options_.islandStrategies.size()];
             islands.push_back(std::move(island));
         }
 
@@ -276,13 +273,15 @@ public:
         mix(static_cast<std::uint64_t>(options_.migrationInterval));
         mix(static_cast<std::uint64_t>(options_.migrants));
         mix(options_.archiveCap);
-        mixDouble(options_.epsilon);
+        // The constants below stand where removed options were mixed (the
+        // epsilon-dominance knob, the single-strategy field, the anneal
+        // schedule), at the values every run used, so snapshots written
+        // while those were options still resume.
+        mixDouble(0.0);
         mix(options_.seed);
-        mix(static_cast<std::uint64_t>(options_.strategy));
+        mix(static_cast<std::uint64_t>(Strategy::HillClimb));
         mix(options_.islandStrategies.size());
         for (Strategy s : options_.islandStrategies) mix(static_cast<std::uint64_t>(s));
-        // Kept in the digest so snapshots written while the schedule was
-        // an option still resume.
         mixDouble(kAnnealStartTemp);
         mixDouble(kAnnealEndTemp);
         mix(options_.problemDigest);
@@ -351,7 +350,7 @@ private:
         }
 
         Result result;
-        result.archive = Archive(options_.archiveCap, options_.epsilon);
+        result.archive = Archive(options_.archiveCap);
         result.islandEvaluations.reserve(n);
         result.islandRngs.reserve(n);
         for (Island& island : islands) {
@@ -443,7 +442,7 @@ private:
         state.done = static_cast<int>(done);
         state.islands.reserve(islandCount);
         for (std::uint32_t i = 0; i < islandCount; ++i) {
-            Island island{Archive(options_.archiveCap, options_.epsilon), util::Rng(0)};
+            Island island{Archive(options_.archiveCap), util::Rng(0)};
             std::uint8_t strategy = 0;
             bool hasCurrent = false;
             if (!in.u8(strategy) || strategy > static_cast<std::uint8_t>(Strategy::Genetic))
@@ -583,9 +582,8 @@ private:
     void migrate(std::vector<Island>& islands) const {
         if (options_.migrants <= 0) return;  // migration disabled
         const std::size_t n = islands.size();
-        // Select by index first — genomes can be heavy (CGP gene
-        // vectors), so only the <= `migrants` picked entries are copied,
-        // never a whole archive.  The (value, index) sort key makes tie
+        // Select by index first — genomes own heap storage, so only the
+        // <= `migrants` picked entries are copied, never a whole archive.  The (value, index) sort key makes tie
         // order fully specified.
         std::vector<std::vector<Entry>> outbound(n);
         std::vector<std::pair<double, std::size_t>> order;

@@ -42,15 +42,11 @@ private:
 };
 
 /// Pareto dominance over minimized objectives: `a` dominates `b` when no
-/// objective of `a` exceeds `b`'s by more than `epsilon` and (for the
-/// exact `epsilon == 0` case) at least one is strictly smaller.  With
-/// `epsilon > 0` weak epsilon-coverage counts as domination — that is the
-/// knob that coarsens an archive: a candidate must beat some archived
-/// entry by a real margin in at least one objective to enter.
-inline bool dominates(const Objectives& a, const Objectives& b, double epsilon = 0.0) {
-    bool strict = epsilon > 0.0;
+/// objective of `a` exceeds `b`'s and at least one is strictly smaller.
+inline bool dominates(const Objectives& a, const Objectives& b) {
+    bool strict = false;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i] > b[i] + epsilon) return false;
+        if (a[i] > b[i]) return false;
         if (a[i] < b[i]) strict = true;
     }
     return strict;

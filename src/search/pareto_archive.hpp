@@ -13,10 +13,10 @@ namespace axf::search {
 /// Non-dominated archive over any genome type — the generalization of the
 /// 2-objective `ArchiveEntry` archive that used to live inside the AutoAx
 /// DSE, now k-objective (up to `Objectives::kMaxObjectives`, all
-/// minimized) with an optional epsilon-dominance coarsening knob.
+/// minimized).
 ///
-/// Semantics (kept bit-compatible with the legacy `archiveInsert` for the
-/// 2-objective, epsilon = 0 configuration):
+/// Semantics (kept bit-compatible with the legacy `archiveInsert` for 2
+/// objectives):
 ///  - a candidate equal (by `operator==`) to an archived genome is
 ///    rejected;
 ///  - a candidate dominated by any archived entry is rejected;
@@ -39,11 +39,9 @@ public:
     };
 
     ParetoArchive() = default;
-    explicit ParetoArchive(std::size_t cap, double epsilon = 0.0)
-        : cap_(cap), epsilon_(epsilon) {}
+    explicit ParetoArchive(std::size_t cap) : cap_(cap) {}
 
     std::size_t cap() const { return cap_; }
-    double epsilon() const { return epsilon_; }
     std::size_t size() const { return entries_.size(); }
     bool empty() const { return entries_.empty(); }
     const std::vector<Entry>& entries() const { return entries_; }
@@ -54,10 +52,10 @@ public:
     bool insert(Genome genome, const Objectives& objectives) {
         for (const Entry& e : entries_) {
             if (e.genome == genome) return false;  // already archived
-            if (dominates(e.objectives, objectives, epsilon_)) return false;
+            if (dominates(e.objectives, objectives)) return false;
         }
         std::erase_if(entries_, [&](const Entry& e) {
-            return dominates(objectives, e.objectives, epsilon_);
+            return dominates(objectives, e.objectives);
         });
         entries_.push_back(Entry{std::move(genome), objectives});
         if (cap_ > 0 && entries_.size() > cap_) thin();
@@ -71,11 +69,10 @@ public:
     }
 
     /// Adopt `entries` verbatim as the archive contents — the checkpoint
-    /// restore path.  Deliberately bypasses insert(): a snapshot is by
-    /// construction mutually non-dominated under this archive's epsilon,
-    /// and replaying it through the epsilon-coarsened insert could reject
-    /// entries that were legitimately resident, breaking resume bit-
-    /// identity.  Entry order is preserved (it is part of search state).
+    /// restore path.  Bypasses insert(): a snapshot is by construction
+    /// mutually non-dominated, so replaying it would only redo the
+    /// dominance scans.  Entry order is preserved (it is part of search
+    /// state).
     void restoreEntries(std::vector<Entry> entries) { entries_ = std::move(entries); }
 
 private:
@@ -89,7 +86,6 @@ private:
 
     std::vector<Entry> entries_;
     std::size_t cap_ = 0;
-    double epsilon_ = 0.0;
 };
 
 }  // namespace axf::search

@@ -251,6 +251,16 @@ TEST_F(DurableTest, ForeignCheckpointIsRejectedLoudly) {
     EXPECT_THROW(ToySearch(problem, o).resume(o.checkpointPath), durable::CheckpointError);
 }
 
+TEST_F(DurableTest, CheckpointDigestIsPinned) {
+    // Exact header digests, recorded before the epsilon-dominance and
+    // single-strategy options were removed: the constants the digest now
+    // mixes in their place keep older snapshots resumable.
+    const TestToyProblem problem;
+    EXPECT_EQ(ToySearch(problem, ToySearch::Options{}).checkpointDigest(),
+              0x512FA71A79E84E42ull);
+    EXPECT_EQ(ToySearch(problem, toyOptions()).checkpointDigest(), 0x0652845EB2126B38ull);
+}
+
 /// A Problem without genome-serialization hooks: the checkpoint API must
 /// be rejected at construction, not fail mysteriously later.
 struct OpaqueToyProblem {

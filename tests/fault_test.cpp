@@ -2,7 +2,7 @@
 // scalar mutate-the-netlist oracle across every gate kind and backend,
 // site enumeration and equivalence collapsing, campaign determinism at any
 // thread count and backend, cache integration (cold == warm), report
-// serialization, and the resilience objective in both search problems.
+// serialization, and the resilience objective in the accelerator DSE.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include "src/error/error_metrics.hpp"
 #include "src/fault/fault.hpp"
 #include "src/gen/adders.hpp"
-#include "src/gen/cgp.hpp"
 #include "src/gen/multipliers.hpp"
 #include "src/synth/fpga.hpp"
 #include "src/util/bytes.hpp"
@@ -413,31 +412,6 @@ TEST(FaultReport, SerializationRoundTrips) {
     util::ByteReader truncated(std::span<const std::uint8_t>(bytes.data(), bytes.size() / 2));
     ResilienceReport bad;
     EXPECT_FALSE(ResilienceReport::deserialize(truncated, bad));
-}
-
-TEST(FaultObjective, CgpSearchProblemGrowsThirdObjective) {
-    gen::CgpParams params;
-    params.inputs = 8;
-    params.outputs = 8;
-    params.cells = 24;
-    const circuit::ArithSignature sig = gen::multiplierSignature(4);
-    gen::CgpSearchProblem problem(sig, params);
-    EXPECT_EQ(problem.objectiveCount(), 2u);
-
-    CampaignConfig campaign;
-    campaign.analysis.sampleCount = 256;
-    problem.setResilienceObjective(campaign);
-    EXPECT_EQ(problem.objectiveCount(), 3u);
-
-    util::Rng rng(42);
-    const std::vector<gen::CgpGenome> batch = {problem.random(rng), problem.random(rng)};
-    std::vector<search::Objectives> out(batch.size());
-    problem.evaluate(batch, out);
-    for (const search::Objectives& o : out) {
-        ASSERT_EQ(o.size(), 3u);
-        EXPECT_GE(o[2], 0.0);  // mean MED under fault
-        EXPECT_TRUE(std::isfinite(o[2]));
-    }
 }
 
 TEST(FaultObjective, ResilienceAwareDseProducesThreeObjectiveFronts) {

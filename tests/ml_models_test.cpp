@@ -177,16 +177,6 @@ TEST(DecisionTree, RespectsDepthLimit) {
     EXPECT_LE(outputs.size(), 2u);
 }
 
-TEST(GaussianProcess, VarianceShrinksNearTrainingData) {
-    Matrix x = Matrix::fromRows({{0.0}, {1.0}, {2.0}});
-    GaussianProcess gp(0.01, 1.0);
-    gp.fit(x, {1.0, 2.0, 3.0});
-    const double nearVar = gp.predictVariance(std::vector<double>{1.0});
-    const double farVar = gp.predictVariance(std::vector<double>{10.0});
-    EXPECT_LT(nearVar, farVar);
-    EXPECT_GE(nearVar, 0.0);
-}
-
 TEST(KernelRidge, InterpolatesSmoothFunction) {
     Matrix x(30, 1);
     Vector y(30);

@@ -1,8 +1,7 @@
 // src/search subsystem: ParetoArchive property tests (2 and 3 objectives,
-// cap thinning, epsilon coarsening), IslandSearch determinism (bit-equal
-// at any thread count, every strategy), the serial-equivalence test
-// pinning `islands = 1` to the pre-refactor AutoAx archive algorithm, and
-// the CGP adapter proving the engine is workload-agnostic.
+// cap thinning), IslandSearch determinism (bit-equal at any thread count,
+// every strategy), and the serial-equivalence test pinning `islands = 1`
+// to the pre-refactor AutoAx archive algorithm.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include "src/autoax/dse.hpp"
 #include "src/autoax/search_problem.hpp"
 #include "src/gen/adders.hpp"
-#include "src/gen/cgp.hpp"
 #include "src/gen/multipliers.hpp"
 #include "src/img/image.hpp"
 #include "src/search/island_search.hpp"
@@ -75,19 +73,6 @@ TEST(ParetoArchive, CapThinningKeepsExtremesAlongLastAxis) {
     EXPECT_EQ(hi, 15.0);  // most expensive (highest quality) extreme survives
 }
 
-TEST(ParetoArchive, EpsilonDominanceCoarsens) {
-    IntArchive exact(/*cap=*/0, /*epsilon=*/0.0);
-    IntArchive coarse(/*cap=*/0, /*epsilon=*/0.1);
-    int id = 0;
-    for (double x = 0.0; x <= 1.0; x += 0.01) {
-        exact.insert(id, {x, 1.0 - x});
-        coarse.insert(id, {x, 1.0 - x});
-        ++id;
-    }
-    EXPECT_GT(exact.size(), coarse.size());
-    EXPECT_GE(coarse.size(), 1u);
-}
-
 // --- IslandSearch over a cheap synthetic problem -----------------------
 
 /// The shared reference Problem (6 slots over a 0..9 menu): objective 0
@@ -142,8 +127,7 @@ TEST(IslandSearch, EveryStrategyProducesNonDominatedArchive) {
     const TestToyProblem problem;
     for (Strategy strategy : {Strategy::HillClimb, Strategy::Anneal, Strategy::Genetic}) {
         ToySearch::Options o = toyOptions();
-        o.islandStrategies.clear();
-        o.strategy = strategy;
+        o.islandStrategies = {strategy};
         const ToySearch::Result result = IslandSearch(problem, o).run();
         ASSERT_FALSE(result.archive.empty()) << strategyName(strategy);
         for (const auto& a : result.archive.entries())
@@ -436,83 +420,3 @@ TEST(IslandDse, IslandCountChangesSearchButStaysValid) {
 
 }  // namespace
 }  // namespace axf::autoax
-
-// --- the CGP workload through the same engine --------------------------
-
-namespace axf::gen {
-namespace {
-
-TEST(CgpSearchProblem, IslandSearchFindsErrorSizeTradeoffs) {
-    const circuit::Netlist seedNet = rippleCarryAdder(4);
-    const circuit::ArithSignature sig = adderSignature(4);
-    util::Rng genomeRng(0xC6);
-    const CgpGenome seedGenome = CgpGenome::seedFromNetlist(seedNet, 8, genomeRng);
-    const CgpSearchProblem problem(sig, seedGenome.params());
-
-    // The exact seed circuit enters every island as shared knowledge.
-    using Search = search::IslandSearch<CgpSearchProblem>;
-    std::vector<Search::Entry> seeded;
-    seeded.push_back(
-        {seedGenome, search::Objectives{0.0, static_cast<double>(seedGenome.activeCells())}});
-
-    Search::Options options;
-    options.islands = 2;
-    options.generations = 25;
-    options.batch = 2;
-    options.seedsPerIsland = 0;
-    options.migrationInterval = 5;
-    options.archiveCap = 24;
-    options.seed = 0xC6;
-    options.islandStrategies = {search::Strategy::HillClimb, search::Strategy::Genetic};
-
-    Search::Options serialOptions = options;
-    serialOptions.threads = 1;
-    const Search::Result serial = Search(problem, serialOptions).run(seeded);
-
-    util::ThreadPool workers(3);
-    options.pool = &workers;
-    const Search::Result pooled = Search(problem, options).run(seeded);
-
-    // Same bits at any thread count — for a completely different workload
-    // than the accelerator DSE.
-    ASSERT_EQ(serial.archive.size(), pooled.archive.size());
-    for (std::size_t i = 0; i < serial.archive.size(); ++i) {
-        EXPECT_EQ(serial.archive[i].genome, pooled.archive[i].genome);
-        EXPECT_EQ(serial.archive[i].objectives, pooled.archive[i].objectives);
-    }
-
-    // The archive is a real error/size trade-off family: mutually
-    // non-dominated, and the exact seed survives as the MED = 0 extreme
-    // (nothing can dominate it without being exact AND smaller).
-    ASSERT_FALSE(serial.archive.empty());
-    double bestMed = 1e30;
-    for (const auto& e : serial.archive.entries()) bestMed = std::min(bestMed, e.objectives[0]);
-    EXPECT_EQ(bestMed, 0.0);
-    for (const auto& a : serial.archive.entries())
-        for (const auto& b : serial.archive.entries())
-            if (!(a.genome == b.genome))
-                EXPECT_FALSE(search::dominates(a.objectives, b.objectives));
-}
-
-TEST(CgpGenome, CrossoverRequiresMatchingGeometry) {
-    util::Rng rng(0x11);
-    CgpParams small;
-    small.inputs = 4;
-    small.outputs = 2;
-    small.cells = 10;
-    CgpParams big = small;
-    big.cells = 20;
-    const CgpGenome a(small, rng);
-    const CgpGenome b(big, rng);
-    EXPECT_THROW(CgpGenome::crossover(a, b, rng), std::invalid_argument);
-
-    const CgpGenome c(small, rng);
-    const CgpGenome child = CgpGenome::crossover(a, c, rng);
-    // Every gene of the child comes from one of its parents.
-    const circuit::Netlist decoded = child.decode();
-    EXPECT_EQ(decoded.inputCount(), 4u);
-    EXPECT_EQ(decoded.outputCount(), 2u);
-}
-
-}  // namespace
-}  // namespace axf::gen

@@ -514,9 +514,7 @@ TEST(VerifyHook, ThrowIfErrorsCarriesRuleId) {
 }
 
 TEST(VerifyCache, LintOnLoadRejectsCorruptNetlists) {
-    cache::CharacterizationCache::Options options;
-    options.verifyNetlists = true;
-    cache::CharacterizationCache cache(options);
+    cache::CharacterizationCache cache;
 
     const Netlist net = gen::rippleCarryAdder(4);
     const std::uint64_t hash = net.structuralHash();
