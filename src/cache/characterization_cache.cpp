@@ -271,6 +271,10 @@ std::optional<circuit::Netlist> CharacterizationCache::findNetlist(const CacheKe
     std::optional<circuit::Netlist> net;
     if (reader.u64(storedHash)) net = circuit::Netlist::deserialize(reader);
     if (net && net->structuralHash() != storedHash) net.reset();
+    // Second line of defence: `Netlist::deserialize` already refuses
+    // unknown gate kinds and, through `checkOperand`, every operand or
+    // output id that is not an earlier node.  The lint still runs so a
+    // rule the decoder does not enforce cannot reach a caller.
     if (net && verify::lintNetlist(*net).hasErrors()) net.reset();
     if (!net) {
         // Decoded-but-illegal payloads are corrupt entries in every way

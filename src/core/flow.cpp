@@ -8,8 +8,11 @@
 
 #include "src/core/fidelity.hpp"
 #include "src/ml/tuning.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 #include "src/synth/synth_time.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace axf::core {
 
@@ -51,6 +54,91 @@ std::vector<std::size_t> measureCircuits(std::vector<CharacterizedCircuit>& circ
     return fresh;
 }
 
+/// The Table-I models the flow scores: all of them, or those whose id is
+/// in `modelIds` (in Table-I order).
+std::vector<ml::ModelSpec> zooOf(const std::vector<std::string>& modelIds) {
+    std::vector<ml::ModelSpec> specs = ml::tableOneModels(CircuitDataset::asicColumns());
+    if (modelIds.empty()) return specs;
+    std::vector<ml::ModelSpec> filtered;
+    for (const ml::ModelSpec& spec : specs)
+        if (std::find(modelIds.begin(), modelIds.end(), spec.id) != modelIds.end())
+            filtered.push_back(spec);
+    return filtered;
+}
+
+/// The variant each (model, parameter) cell chose: `[m][param]`.
+using ChosenVariants = std::vector<std::array<ml::TunedModel, kAllFpgaParams.size()>>;
+
+/// Step 3, the fidelity leaderboard.  Every (model, parameter) cell scores
+/// the model's variants on the validation subset and keeps the best: the
+/// whole grid when tuning, else just the Table-I default.  The cells'
+/// variant fits are independent, so they run as one flattened pool-wide
+/// loop, each writing its own score slot; a serial fold in grid order
+/// then picks each cell's variant, so the result is the serial one bit
+/// for bit.  Appends one `ModelScore` per spec to `leaderboard` and
+/// returns the chosen variants that step 4 refits.
+ChosenVariants fitLeaderboard(
+    const std::vector<ml::ModelSpec>& specs, bool tune, const CircuitDataset& dataset,
+    const std::vector<std::size_t>& training, const std::vector<std::size_t>& validation,
+    std::vector<ModelScore>& leaderboard) {
+    obs::Span span("leaderboard");
+    static obs::Counter& fits = obs::Registry::global().counter("ml.fits");
+    const ml::Matrix xTrain = dataset.featureMatrix(training);
+    const ml::Matrix xVal = dataset.featureMatrix(validation);
+    std::array<ml::Vector, kAllFpgaParams.size()> yTrain, yVal;
+    for (FpgaParam param : kAllFpgaParams) {
+        yTrain[static_cast<std::size_t>(param)] = dataset.measuredTargets(training, param);
+        yVal[static_cast<std::size_t>(param)] = dataset.measuredTargets(validation, param);
+    }
+
+    struct Cell {
+        std::size_t model;
+        FpgaParam param;
+        std::size_t variant;
+    };
+    std::vector<std::span<const ml::ModelVariant>> variants(specs.size());
+    std::vector<Cell> cells;
+    for (std::size_t m = 0; m < specs.size(); ++m) {
+        const ml::ModelSpec& spec = specs[m];
+        variants[m] = tune ? std::span<const ml::ModelVariant>(spec.grid)
+                           : std::span<const ml::ModelVariant>(&spec.grid[spec.defaultVariant], 1);
+        for (FpgaParam param : kAllFpgaParams)
+            for (std::size_t v = 0; v < variants[m].size(); ++v) cells.push_back({m, param, v});
+    }
+
+    const auto fidelityScore = [](const ml::Vector& measured, const ml::Vector& estimated) {
+        return fidelity(measured, estimated);
+    };
+    std::vector<double> scores(cells.size());
+    util::ThreadPool::global().parallelFor(cells.size(), [&](std::size_t i) {
+        const Cell& cell = cells[i];
+        const ml::ModelVariant& variant = variants[cell.model][cell.variant];
+        const auto p = static_cast<std::size_t>(cell.param);
+        obs::Span fitSpan("ml_fit", specs[cell.model].id + " " + fpgaParamName(cell.param) +
+                                        " " + variant.description);
+        fits.add();
+        scores[i] = ml::scoreVariant(variant, xTrain, yTrain[p], xVal, yVal[p], fidelityScore);
+    });
+
+    ChosenVariants chosen(specs.size());
+    const std::span<const double> allScores(scores);
+    std::size_t next = 0;  // first cell of the current (model, parameter)
+    for (std::size_t m = 0; m < specs.size(); ++m) {
+        ModelScore score;
+        score.id = specs[m].id;
+        score.name = specs[m].name;
+        for (FpgaParam param : kAllFpgaParams) {
+            ml::TunedModel& best = chosen[m][static_cast<std::size_t>(param)];
+            best = ml::bestVariant(variants[m], allScores.subspan(next, variants[m].size()));
+            next += variants[m].size();
+            score.fidelityByParam[param] = best.validationScore;
+            score.variantByParam[param] = tune ? best.variantDescription : "default";
+        }
+        leaderboard.push_back(std::move(score));
+    }
+    return chosen;
+}
+
 }  // namespace
 
 FlowResult ApproxFpgasFlow::run(gen::AcLibrary library) const {
@@ -84,49 +172,10 @@ FlowResult ApproxFpgasFlow::run(gen::AcLibrary library) const {
                                       subset.end());
     if (training.empty()) training = validation;
 
-    const ml::Matrix xTrain = result.dataset.featureMatrix(training);
-    const ml::Matrix xVal = result.dataset.featureMatrix(validation);
-
     // --- step 3: fidelity leaderboard over the Table-I zoo ----------------
-    std::vector<ml::ModelSpec> specs = ml::tableOneModels(CircuitDataset::asicColumns());
-    if (!config_.modelIds.empty()) {
-        std::vector<ml::ModelSpec> filtered;
-        for (const ml::ModelSpec& spec : specs)
-            if (std::find(config_.modelIds.begin(), config_.modelIds.end(), spec.id) !=
-                config_.modelIds.end())
-                filtered.push_back(spec);
-        specs = std::move(filtered);
-    }
-
-    // One cell per (model, parameter): fit the model's variants and keep
-    // the best by validation fidelity — the whole grid when tuning, else
-    // just the Table-I default.  `chosen[m][p]` is the variant refit below
-    // for full-library estimation.
-    std::vector<std::array<ml::TunedModel, kAllFpgaParams.size()>> chosen(specs.size());
-    const auto fidelityScore = [](const ml::Vector& measured, const ml::Vector& estimated) {
-        return fidelity(measured, estimated);
-    };
-    for (std::size_t m = 0; m < specs.size(); ++m) {
-        const ml::ModelSpec& spec = specs[m];
-        const std::span<const ml::ModelVariant> variants =
-            config_.tuneHyperparameters
-                ? std::span<const ml::ModelVariant>(spec.grid)
-                : std::span<const ml::ModelVariant>(&spec.grid[spec.defaultVariant], 1);
-        ModelScore score;
-        score.id = spec.id;
-        score.name = spec.name;
-        for (FpgaParam param : kAllFpgaParams) {
-            ml::TunedModel& cell = chosen[m][static_cast<std::size_t>(param)];
-            cell = ml::fitBestVariant(variants, xTrain,
-                                      result.dataset.measuredTargets(training, param), xVal,
-                                      result.dataset.measuredTargets(validation, param),
-                                      fidelityScore);
-            score.fidelityByParam[param] = cell.validationScore;
-            score.variantByParam[param] =
-                config_.tuneHyperparameters ? cell.variantDescription : "default";
-        }
-        result.leaderboard.push_back(std::move(score));
-    }
+    const ChosenVariants chosen =
+        fitLeaderboard(zooOf(config_.modelIds), config_.tuneHyperparameters, result.dataset,
+                       training, validation, result.leaderboard);
 
     // --- step 4..6: per-parameter estimation, pseudo-fronts, re-synthesis --
     std::vector<std::size_t> allIndices(n);

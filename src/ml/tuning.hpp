@@ -20,15 +20,20 @@ struct TunedModel {
     double validationScore = 0.0;
 };
 
-/// Fits every entry of `variants` (non-empty) on (xTrain, yTrain) and
-/// keeps the one whose validation predictions maximize `score(yVal,
-/// yEst)` — the flow passes the fidelity metric here.  Ties resolve to
-/// the earlier variant: a later one wins only with a strictly higher score.
-TunedModel fitBestVariant(std::span<const ModelVariant> variants, const Matrix& xTrain,
-                          const Vector& yTrain, const Matrix& xVal, const Vector& yVal,
-                          const std::function<double(const Vector&, const Vector&)>& score);
+/// Validation score of one variant: a fresh model fitted on (xTrain,
+/// yTrain), scored as `score(yVal, predictions on xVal)`.  A pure function
+/// of its arguments, so variants may be scored concurrently.
+double scoreVariant(const ModelVariant& variant, const Matrix& xTrain, const Vector& yTrain,
+                    const Matrix& xVal, const Vector& yVal,
+                    const std::function<double(const Vector&, const Vector&)>& score);
 
-/// `fitBestVariant` over the model's whole grid.
+/// The best of `variants` (non-empty) given `scores[i]`, the validation
+/// score of `variants[i]`.  Ties resolve to the earlier variant: a later
+/// one wins only with a strictly higher score.
+TunedModel bestVariant(std::span<const ModelVariant> variants, std::span<const double> scores);
+
+/// Scores every variant of the model's grid in order and keeps the
+/// `bestVariant`.
 TunedModel tuneModel(const std::string& modelId, const AsicColumns& asic, const Matrix& xTrain,
                      const Vector& yTrain, const Matrix& xVal, const Vector& yVal,
                      const std::function<double(const Vector&, const Vector&)>& score);

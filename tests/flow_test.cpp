@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 
 #include "src/core/flow.hpp"
 #include "src/core/release.hpp"
+#include "src/ml/registry.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace axf::core {
 namespace {
@@ -166,6 +172,72 @@ TEST(FlowConfig, HyperparameterTuningRecordsVariants) {
             EXPECT_NE(s.variantByParam.at(param), "default");  // a grid choice was made
         }
     }
+}
+
+/// The whole zoo, every grid variant, coverage included.
+FlowResult tunedFlow() {
+    ApproxFpgasFlow::Config cfg;
+    cfg.trainFraction = 0.15;
+    cfg.tuneHyperparameters = true;
+    return ApproxFpgasFlow(cfg).run(smallLibrary());
+}
+
+std::uint64_t bitsOf(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(FlowThreads, SerialRunMatchesPooledRunBitForBit) {
+    const FlowResult pooled = tunedFlow();
+    // On a pool worker every nested parallelFor runs inline, so this run
+    // fits each leaderboard cell (and builds and measures the library)
+    // one after another on one thread.
+    std::optional<FlowResult> serial;
+    util::ThreadPool one(1);
+    one.submit([&serial] { serial = tunedFlow(); });
+    one.wait();
+    ASSERT_TRUE(serial.has_value());
+
+    ASSERT_EQ(serial->leaderboard.size(), pooled.leaderboard.size());
+    for (std::size_t m = 0; m < pooled.leaderboard.size(); ++m) {
+        const ModelScore& a = pooled.leaderboard[m];
+        const ModelScore& b = serial->leaderboard[m];
+        ASSERT_EQ(a.id, b.id);
+        for (FpgaParam param : kAllFpgaParams) {
+            EXPECT_EQ(bitsOf(a.fidelityByParam.at(param)), bitsOf(b.fidelityByParam.at(param)))
+                << a.id << " " << fpgaParamName(param);
+            EXPECT_EQ(a.variantByParam.at(param), b.variantByParam.at(param))
+                << a.id << " " << fpgaParamName(param);
+        }
+    }
+    ASSERT_EQ(serial->targets.size(), pooled.targets.size());
+    for (std::size_t t = 0; t < pooled.targets.size(); ++t) {
+        const TargetOutcome& a = pooled.targets[t];
+        const TargetOutcome& b = serial->targets[t];
+        EXPECT_EQ(a.selectedModels, b.selectedModels);
+        EXPECT_EQ(a.pseudoParetoIndices, b.pseudoParetoIndices);
+        EXPECT_EQ(a.finalParetoIndices, b.finalParetoIndices);
+        EXPECT_EQ(bitsOf(a.coverageOfTrueFront), bitsOf(b.coverageOfTrueFront));
+    }
+}
+
+TEST(FlowMetrics, FitsCounterCountsOneFitPerLeaderboardCell) {
+    const bool wasEnabled = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    const obs::Counter& fits = obs::Registry::global().counter("ml.fits");
+    ApproxFpgasFlow::Config cfg;
+    cfg.trainFraction = 0.15;
+    cfg.evaluateCoverage = false;
+
+    std::uint64_t before = fits.value();
+    ApproxFpgasFlow(cfg).run(smallLibrary());
+    EXPECT_EQ(fits.value() - before, 18u * kAllFpgaParams.size());
+
+    std::size_t gridSizes = 0;
+    for (const ml::ModelSpec& spec : ml::tableOneModels(CircuitDataset::asicColumns()))
+        gridSizes += spec.grid.size();
+    cfg.tuneHyperparameters = true;
+    before = fits.value();
+    ApproxFpgasFlow(cfg).run(smallLibrary());
+    EXPECT_EQ(fits.value() - before, gridSizes * kAllFpgaParams.size());
+    obs::setMetricsEnabled(wasEnabled);
 }
 
 TEST(Release, WritesVerilogCAndIndex) {

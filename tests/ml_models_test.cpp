@@ -285,6 +285,20 @@ TEST(Tuning, PicksBestVariantByValidationScore) {
     }
 }
 
+TEST(Tuning, BestVariantKeepsTheFirstOfEqualScores) {
+    const std::vector<ModelVariant> grid = hyperparameterGrid("ML16", AsicColumns{3, 4, 5});
+    ASSERT_GE(grid.size(), 3u);
+    const std::vector<double> tied(grid.size(), 0.5);
+    EXPECT_EQ(bestVariant(grid, tied).variantDescription, grid[0].description);
+
+    std::vector<double> scores(grid.size(), 0.25);
+    scores[1] = 0.75;
+    scores[2] = 0.75;
+    const TunedModel best = bestVariant(grid, scores);
+    EXPECT_EQ(best.variantDescription, grid[1].description);
+    EXPECT_EQ(best.validationScore, 0.75);
+}
+
 TEST(Tuning, TunedModelIsUsableAfterwards) {
     const Task task = Task::make(0x72);
     const AsicColumns asic{3, 4, 5};

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "src/cache/characterization_cache.hpp"
@@ -534,6 +535,55 @@ TEST(VerifyCache, LintOnLoadRejectsCorruptNetlists) {
     cache.putBytes(key, tampered.take());
     EXPECT_FALSE(cache.findNetlist(key).has_value());
     EXPECT_GE(cache.stats().corruptEntriesDropped, 1u);
+}
+
+/// A hand-built `findNetlist` payload: hash, then `Netlist::serialize`'s
+/// layout (name, nodes as kind byte + operand ids, outputs).
+std::vector<std::uint8_t> rawNetlistPayload(
+    const std::vector<std::pair<std::uint8_t, std::vector<std::uint32_t>>>& nodes,
+    const std::vector<std::uint32_t>& outputs) {
+    util::ByteWriter out;
+    out.u64(0);
+    out.u32(3);
+    out.raw("raw", 3);
+    out.u32(static_cast<std::uint32_t>(nodes.size()));
+    for (const auto& [kind, operands] : nodes) {
+        out.u8(kind);
+        for (std::uint32_t id : operands) out.u32(id);
+    }
+    out.u32(static_cast<std::uint32_t>(outputs.size()));
+    for (std::uint32_t id : outputs) out.u32(id);
+    return out.take();
+}
+
+TEST(VerifyCache, DecoderRejectsIllegalNetlistsBeforeLint) {
+    const auto kind = [](GateKind k) { return static_cast<std::uint8_t>(k); };
+    const std::vector<std::vector<std::uint8_t>> payloads = {
+        // And(0, 3) reads node 3 before it exists.
+        rawNetlistPayload({{kind(GateKind::Input), {}},
+                           {kind(GateKind::Input), {}},
+                           {kind(GateKind::And), {0, 3}},
+                           {kind(GateKind::Not), {0}}},
+                          {2}),
+        // Kind byte one past the last GateKind.
+        rawNetlistPayload({{kind(GateKind::Input), {}},
+                           {static_cast<std::uint8_t>(kind(GateKind::Maj) + 1), {0}}},
+                          {1}),
+    };
+    cache::CharacterizationCache cache;
+    const cache::CacheKey key = cache::CharacterizationCache::blobKey(0, "verify-test.raw");
+    for (const std::vector<std::uint8_t>& payload : payloads) {
+        // The first line of defence: Netlist::deserialize itself refuses.
+        util::ByteReader reader(payload);
+        std::uint64_t hash = 0;
+        ASSERT_TRUE(reader.u64(hash));
+        EXPECT_FALSE(Netlist::deserialize(reader).has_value());
+
+        const std::uint64_t dropped = cache.stats().corruptEntriesDropped;
+        cache.putBytes(key, payload);
+        EXPECT_FALSE(cache.findNetlist(key).has_value());
+        EXPECT_EQ(cache.stats().corruptEntriesDropped, dropped + 1);
+    }
 }
 
 }  // namespace
